@@ -10,7 +10,6 @@
 #                live; the deliberate-violation tests fire)
 #   clang-tidy   scripts/check_tidy.sh over the committed .clang-tidy
 #                (SKIPs when clang-tidy is not installed)
-#   wmsn-lint    legacy lint rule group via the deprecated wmsn_lint.py shim
 #   analyze      scripts/wmsn_analyze.py determinism auditor: R1-R6
 #                ordering/RNG rules + absorbed lint rules + the audited
 #                suppression ledger, then its fixture self-test corpus
@@ -30,9 +29,9 @@
 #
 # usage: check_all.sh [--quick] [--jobs N]
 #   --quick   the fast pre-commit loop: werror build + tier-1 ctest +
-#             wmsn-lint + analyze. Sanitizer/invariants rebuilds and the
-#             binary-driven gates report SKIP (--quick). Reuses an existing
-#             build-werror cache when present.
+#             analyze. Sanitizer/invariants rebuilds and the binary-driven
+#             gates report SKIP (--quick). Reuses an existing build-werror
+#             cache when present.
 #   --jobs N  parallel build/test jobs (default: nproc)
 set -uo pipefail
 
@@ -135,16 +134,7 @@ else
   fi
 fi
 
-# 6. Legacy lint group via the back-compat shim (keeps the historical gate
-#    row alive while anything still invokes wmsn_lint.py).
-if lint_out="$(python3 "$scriptdir/wmsn_lint.py" --root "$repo" 2>&1)"; then
-  note_gate wmsn-lint PASS "$(echo "$lint_out" | tail -1)"
-else
-  echo "$lint_out"
-  note_gate wmsn-lint FAIL "findings above"
-fi
-
-# 7. Determinism auditor: full rule pack + ledger audit over the tree, then
+# 6. Determinism auditor: full rule pack + ledger audit over the tree, then
 #    the fixture corpus that tests the analyzer itself.
 if an_out="$(python3 "$scriptdir/wmsn_analyze.py" --root "$repo" 2>&1)"; then
   if fx_out="$(python3 "$scriptdir/wmsn_analyze.py" --fixtures 2>&1)"; then
@@ -168,7 +158,7 @@ if [ "$quick" -eq 1 ]; then
   note_gate perf SKIP "--quick"
   note_gate obs-budget SKIP "--quick"
 else
-  # 8. Documentation drift (needs built CLIs; the werror tree has them).
+  # 7. Documentation drift (needs built CLIs; the werror tree has them).
   if [ -x "$cli" ] && [ -x "$campaign_cli" ]; then
     if docs_out="$(bash "$scriptdir/check_docs.sh" "$cli" "$repo" \
                    "$campaign_cli" 2>&1)"; then
@@ -181,7 +171,7 @@ else
     note_gate docs SKIP "no CLI binaries (werror build failed?)"
   fi
 
-  # 9. Campaign orchestration smoke gate: run → kill → --resume must land on
+  # 8. Campaign orchestration smoke gate: run → kill → --resume must land on
   #    the same bytes as uninterrupted, across worker counts, and an injected
   #    worker crash must be contained to one failed run.
   if [ -x "$campaign_cli" ]; then
@@ -196,9 +186,9 @@ else
     note_gate campaign SKIP "no wmsn_campaign binary (werror build failed?)"
   fi
 
-  # 10. Perf-counter discipline: arming the deterministic work-counter ledger
-  #     must not perturb a single output byte, and the committed
-  #     kernel-scaling baseline's 1k point must still be reproducible.
+  # 9. Perf-counter discipline: arming the deterministic work-counter ledger
+  #    must not perturb a single output byte, and the committed
+  #    kernel-scaling baseline's 1k point must still be reproducible.
   if [ -x "$cli" ]; then
     if perf_out="$(bash "$scriptdir/check_perf.sh" "$cli" "$repo" \
                    "$campaign_cli" 2>&1)"; then
@@ -215,7 +205,7 @@ else
     note_gate perf SKIP "no wmsn_cli binary (werror build failed?)"
   fi
 
-  # 11. Observability overhead budget: causal tracing must not distort the
+  # 10. Observability overhead budget: causal tracing must not distort the
   #     experiments it observes. Evaluated on min-of-reps wall time, so a
   #     noisy scheduler costs retries, not false failures.
   obs_bench="$repo/build-werror/bench/bench_obs_overhead"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <tuple>
+#include <variant>
 
 #include "campaign/stats.hpp"
 #include "util/json.hpp"
@@ -12,30 +13,15 @@ namespace wmsn::campaign {
 
 namespace {
 
-/// The per-cell aggregate metrics, in artifact order.
-struct MetricAccessor {
-  const char* name;
-  double (*get)(const RunRecord&);
+/// The per-cell aggregate metrics, in artifact order (recordField keys).
+constexpr const char* kCellMetrics[] = {
+    "pdr",         "mean_latency_ms", "p95_latency_ms", "mean_hops",
+    "goodput_pps", "lifetime_s",      "energy_total_j", "pdr_during_outage",
 };
 
-constexpr MetricAccessor kCellMetrics[] = {
-    {"pdr", [](const RunRecord& r) { return r.pdr; }},
-    {"mean_latency_ms", [](const RunRecord& r) { return r.meanLatencyMs; }},
-    {"p95_latency_ms", [](const RunRecord& r) { return r.p95LatencyMs; }},
-    {"mean_hops", [](const RunRecord& r) { return r.meanHops; }},
-    {"goodput_pps", [](const RunRecord& r) { return r.goodputPps; }},
-    {"lifetime_s", [](const RunRecord& r) { return r.lifetimeS; }},
-    {"energy_total_j", [](const RunRecord& r) { return r.energyTotalJ; }},
-    {"pdr_during_outage",
-     [](const RunRecord& r) { return r.pdrDuringOutage; }},
-};
-
-/// The paired-delta metrics (ISSUE: PDR / latency / lifetime).
-constexpr MetricAccessor kDeltaMetrics[] = {
-    {"pdr", [](const RunRecord& r) { return r.pdr; }},
-    {"mean_latency_ms", [](const RunRecord& r) { return r.meanLatencyMs; }},
-    {"lifetime_s", [](const RunRecord& r) { return r.lifetimeS; }},
-};
+/// The paired-delta metrics: PDR, latency and lifetime.
+constexpr const char* kDeltaMetrics[] = {"pdr", "mean_latency_ms",
+                                         "lifetime_s"};
 
 void appendAggregate(std::ostream& os, const Aggregate& a) {
   os << "{\"n\": " << a.n << ", \"mean\": " << jsonNumber(a.mean)
@@ -44,6 +30,11 @@ void appendAggregate(std::ostream& os, const Aggregate& a) {
      << ", \"min\": " << jsonNumber(a.min)
      << ", \"max\": " << jsonNumber(a.max) << "}";
 }
+
+void appendValue(std::ostream& os, double v) { os << jsonNumber(v); }
+void appendValue(std::ostream& os, bool v) { os << (v ? "true" : "false"); }
+void appendValue(std::ostream& os, std::uint64_t v) { os << v; }
+void appendValue(std::ostream& os, std::uint32_t v) { os << v; }
 
 void appendRun(std::ostream& os, const RunRecord& r) {
   os << "      {\"id\": \"" << jsonEscape(r.id) << "\", \"cell\": \""
@@ -54,48 +45,15 @@ void appendRun(std::ostream& os, const RunRecord& r) {
     os << ", \"error\": \"" << jsonEscape(r.error) << "\"}";
     return;
   }
-  os << ",\n       \"pdr\": " << jsonNumber(r.pdr)
-     << ", \"mean_latency_ms\": " << jsonNumber(r.meanLatencyMs)
-     << ", \"p95_latency_ms\": " << jsonNumber(r.p95LatencyMs)
-     << ", \"mean_hops\": " << jsonNumber(r.meanHops)
-     << ",\n       \"offered_pps\": " << jsonNumber(r.offeredPps)
-     << ", \"goodput_pps\": " << jsonNumber(r.goodputPps)
-     << ", \"generated\": " << r.generated
-     << ", \"delivered\": " << r.delivered
-     << ",\n       \"queue_drops\": " << r.queueDrops
-     << ", \"mac_drops\": " << r.macDrops
-     << ", \"collisions\": " << r.collisions
-     << ", \"control_bytes\": " << r.controlBytes
-     << ", \"data_bytes\": " << r.dataBytes
-     << ",\n       \"rounds_completed\": " << r.roundsCompleted
-     << ", \"first_death_observed\": "
-     << (r.firstDeathObserved ? "true" : "false")
-     << ", \"lifetime_s\": " << jsonNumber(r.lifetimeS)
-     << ",\n       \"energy_total_j\": " << jsonNumber(r.energyTotalJ)
-     << ", \"energy_d2\": " << jsonNumber(r.energyD2)
-     << ",\n       \"outage_episodes\": " << r.outageEpisodes
-     << ", \"mean_recovery_latency_s\": " << jsonNumber(r.meanRecoveryLatencyS)
-     << ", \"pdr_during_outage\": " << jsonNumber(r.pdrDuringOutage);
-  // Trace summary only when the spec traced the run, so untraced campaign
-  // artifacts stay byte-identical to older builds.
-  if (r.traceSpans > 0)
-    os << ",\n       \"trace_spans\": " << r.traceSpans
-       << ", \"trace_readings\": " << r.traceReadings
-       << ", \"trace_reroutes\": " << r.traceReroutes
-       << ", \"trace_drop_events\": " << r.traceDropEvents
-       << ", \"trace_mean_path_hops\": " << jsonNumber(r.traceMeanPathHops);
-  // Perf summary only when the spec counted the run, for the same
-  // byte-compatibility reason. Deterministic work counters first, then the
-  // machine-dependent telemetry (RSS, wall seconds, derived rates).
-  if (r.perfCaptured)
-    os << ",\n       \"perf_node_steps\": " << r.perfNodeSteps
-       << ", \"perf_frames_transmitted\": " << r.perfFramesTransmitted
-       << ", \"perf_pairs_examined\": " << r.perfPairsExamined
-       << ", \"perf_rng_draws\": " << r.perfRngDraws
-       << ",\n       \"perf_peak_rss_kb\": " << r.perfPeakRssKb
-       << ", \"perf_wall_seconds\": " << jsonNumber(r.perfWallSeconds)
-       << ", \"perf_rounds_per_sec\": " << jsonNumber(r.perfRoundsPerSec)
-       << ", \"perf_frames_per_sec\": " << jsonNumber(r.perfFramesPerSec);
+  using G = RecordField::Group;
+  for (const RecordField& field : recordFields()) {
+    const bool shown = field.group == G::kAlways ||
+                       (field.group == G::kTrace && r.traceSpans > 0) ||
+                       (field.group == G::kPerf && r.perfCaptured);
+    if (!shown) continue;
+    os << (field.breakBefore ? ",\n       \"" : ", \"") << field.key << "\": ";
+    std::visit([&](auto m) { appendValue(os, r.*m); }, field.member);
+  }
   os << "}";
 }
 
@@ -205,13 +163,14 @@ std::string renderArtifact(const CampaignSpec& spec,
     os << "}, \"n_ok\": " << cell.ok.size()
        << ", \"n_failed\": " << cell.failed << ",\n       \"metrics\": {";
     bool firstMetric = true;
-    for (const MetricAccessor& m : kCellMetrics) {
+    for (const char* name : kCellMetrics) {
+      const RecordField& field = recordField(name);
       std::vector<double> samples;
       samples.reserve(cell.ok.size());
-      for (const RunRecord* r : cell.ok) samples.push_back(m.get(*r));
+      for (const RunRecord* r : cell.ok) samples.push_back(field.number(*r));
       if (!firstMetric) os << ", ";
       firstMetric = false;
-      os << "\n        \"" << m.name << "\": ";
+      os << "\n        \"" << name << "\": ";
       appendAggregate(os, aggregate(samples));
     }
     os << "}}";
@@ -247,13 +206,14 @@ std::string renderArtifact(const CampaignSpec& spec,
              << jsonEscape(la) << "\", \"b\": \"" << jsonEscape(lb)
              << "\", \"pairs\": " << pairs.size() << ",\n       \"metrics\": {";
           bool firstMetric = true;
-          for (const MetricAccessor& m : kDeltaMetrics) {
+          for (const char* name : kDeltaMetrics) {
+            const RecordField& field = recordField(name);
             std::size_t pos = 0;
             std::size_t neg = 0;
             std::size_t ties = 0;
             double sum = 0.0;
             for (const auto& [ra, rb] : pairs) {
-              const double d = m.get(*rb) - m.get(*ra);
+              const double d = field.number(*rb) - field.number(*ra);
               sum += d;
               if (d > 0.0)
                 ++pos;
@@ -266,7 +226,7 @@ std::string renderArtifact(const CampaignSpec& spec,
                 pairs.empty() ? 0.0 : sum / static_cast<double>(pairs.size());
             if (!firstMetric) os << ", ";
             firstMetric = false;
-            os << "\n        \"" << m.name
+            os << "\n        \"" << name
                << "\": {\"mean_delta\": " << jsonNumber(meanDelta)
                << ", \"positive\": " << pos << ", \"negative\": " << neg
                << ", \"ties\": " << ties

@@ -1,5 +1,11 @@
 #include "campaign/record.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdlib>
+#include <iterator>
+#include <type_traits>
+
 #include "obs/trace_analyze.hpp"
 #include "util/json.hpp"
 #include "util/require.hpp"
@@ -9,22 +15,86 @@ namespace wmsn::campaign {
 namespace {
 
 // Fields separated by US (\x1f). The metrics wire blob rides as the FINAL
-// field: it contains its own RS/US/GS framing, so the decoder splits only
-// the fixed-count prefix and keeps the tail intact.
+// field: it contains its own RS/US/GS framing, so the decoder reads the
+// fixed fields one by one and keeps the tail intact.
 constexpr char kSep = '\x1f';
 constexpr const char* kTag = "wmsnrec3";
-constexpr std::size_t kFixedFields = 43;  // tag..lastScalar, excl. metrics
+
+using G = RecordField::Group;
+
+// The wmsnrec3 scalar fields, in wire order. Adding, removing, reordering or
+// retyping a row changes the journal format and so needs a new kTag.
+constexpr RecordField kFields[] = {
+    {&RunRecord::pdr, "pdr", G::kAlways, true},
+    {&RunRecord::meanLatencyMs, "mean_latency_ms"},
+    {&RunRecord::p95LatencyMs, "p95_latency_ms"},
+    {&RunRecord::meanHops, "mean_hops"},
+    {&RunRecord::offeredPps, "offered_pps", G::kAlways, true},
+    {&RunRecord::goodputPps, "goodput_pps"},
+    {&RunRecord::generated, "generated"},
+    {&RunRecord::delivered, "delivered"},
+    {&RunRecord::queueDrops, "queue_drops", G::kAlways, true},
+    {&RunRecord::macDrops, "mac_drops"},
+    {&RunRecord::collisions, "collisions"},
+    {&RunRecord::controlBytes, "control_bytes"},
+    {&RunRecord::dataBytes, "data_bytes"},
+    {&RunRecord::roundsCompleted, "rounds_completed", G::kAlways, true},
+    {&RunRecord::firstDeathObserved, "first_death_observed"},
+    {&RunRecord::lifetimeS, "lifetime_s"},
+    {&RunRecord::energyTotalJ, "energy_total_j", G::kAlways, true},
+    {&RunRecord::energyD2, "energy_d2"},
+    {&RunRecord::outageEpisodes, "outage_episodes", G::kAlways, true},
+    {&RunRecord::meanRecoveryLatencyS, "mean_recovery_latency_s"},
+    {&RunRecord::pdrDuringOutage, "pdr_during_outage"},
+    {&RunRecord::traceSpans, "trace_spans", G::kTrace, true},
+    {&RunRecord::traceReadings, "trace_readings", G::kTrace},
+    {&RunRecord::traceReroutes, "trace_reroutes", G::kTrace},
+    {&RunRecord::traceDropEvents, "trace_drop_events", G::kTrace},
+    {&RunRecord::traceMeanPathHops, "trace_mean_path_hops", G::kTrace},
+    {&RunRecord::perfCaptured, "perf_captured", G::kWireOnly},
+    // Deterministic work counters first, then the machine-dependent
+    // telemetry (RSS, wall seconds, derived rates).
+    {&RunRecord::perfNodeSteps, "perf_node_steps", G::kPerf, true},
+    {&RunRecord::perfFramesTransmitted, "perf_frames_transmitted", G::kPerf},
+    {&RunRecord::perfPairsExamined, "perf_pairs_examined", G::kPerf},
+    {&RunRecord::perfRngDraws, "perf_rng_draws", G::kPerf},
+    {&RunRecord::perfPeakRssKb, "perf_peak_rss_kb", G::kPerf, true},
+    {&RunRecord::perfWallSeconds, "perf_wall_seconds", G::kPerf},
+    {&RunRecord::perfRoundsPerSec, "perf_rounds_per_sec", G::kPerf},
+    {&RunRecord::perfFramesPerSec, "perf_frames_per_sec", G::kPerf},
+};
+
+std::string wireText(std::uint64_t v) { return std::to_string(v); }
+std::string wireText(std::uint32_t v) { return std::to_string(v); }
+std::string wireText(double v) { return wireDouble(v); }
+std::string wireText(bool v) { return v ? "1" : "0"; }
+
+/// Parses text written by wireText. Malformed text, and integers that do not
+/// fit T, throw PreconditionError naming the field `key`.
+template <class T>
+T parseWire(const std::string& text, const char* key) {
+  T value{};
+  bool ok = false;
+  if constexpr (std::is_same_v<T, bool>) {
+    ok = text == "0" || text == "1";
+    value = text == "1";
+  } else if constexpr (std::is_same_v<T, double>) {
+    char* end = nullptr;
+    value = std::strtod(text.c_str(), &end);
+    ok = !text.empty() && end == text.c_str() + text.size();
+  } else {
+    const char* last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+    ok = ec == std::errc{} && ptr == last;
+  }
+  WMSN_REQUIRE_MSG(ok, std::string("malformed run-record field ") + key +
+                           ": '" + text + "'");
+  return value;
+}
 
 void appendField(std::string& out, const std::string& field) {
   out += kSep;
   out += field;
-}
-
-std::uint64_t parseU64(const std::string& s) {
-  WMSN_REQUIRE_MSG(!s.empty() &&
-                       s.find_first_not_of("0123456789") == std::string::npos,
-                   "malformed run-record integer: '" + s + "'");
-  return std::stoull(s);
 }
 
 /// Identity strings and error messages must survive the line framing: no
@@ -38,6 +108,22 @@ std::string sanitize(const std::string& s) {
 }
 
 }  // namespace
+
+double RecordField::number(const RunRecord& record) const {
+  return std::visit(
+      [&](auto m) { return static_cast<double>(record.*m); }, member);
+}
+
+std::span<const RecordField> recordFields() { return kFields; }
+
+const RecordField& recordField(std::string_view key) {
+  const auto* it = std::find_if(
+      std::begin(kFields), std::end(kFields),
+      [&](const RecordField& field) { return key == field.key; });
+  WMSN_REQUIRE_MSG(it != std::end(kFields),
+                   "unknown run-record field: " + std::string(key));
+  return *it;
+}
 
 RunRecord makeRecord(const std::string& id, const std::string& cell,
                      std::uint64_t seed, std::uint32_t seedIndex,
@@ -116,45 +202,13 @@ std::string encodeRecord(const RunRecord& record) {
   std::string out = kTag;
   appendField(out, sanitize(record.id));
   appendField(out, sanitize(record.cell));
-  appendField(out, std::to_string(record.seed));
-  appendField(out, std::to_string(record.seedIndex));
+  appendField(out, wireText(record.seed));
+  appendField(out, wireText(record.seedIndex));
   appendField(out, record.ok() ? "ok" : "failed");
   appendField(out, sanitize(record.error));
-  appendField(out, wireDouble(record.pdr));
-  appendField(out, wireDouble(record.meanLatencyMs));
-  appendField(out, wireDouble(record.p95LatencyMs));
-  appendField(out, wireDouble(record.meanHops));
-  appendField(out, wireDouble(record.offeredPps));
-  appendField(out, wireDouble(record.goodputPps));
-  appendField(out, std::to_string(record.generated));
-  appendField(out, std::to_string(record.delivered));
-  appendField(out, std::to_string(record.queueDrops));
-  appendField(out, std::to_string(record.macDrops));
-  appendField(out, std::to_string(record.collisions));
-  appendField(out, std::to_string(record.controlBytes));
-  appendField(out, std::to_string(record.dataBytes));
-  appendField(out, std::to_string(record.roundsCompleted));
-  appendField(out, record.firstDeathObserved ? "1" : "0");
-  appendField(out, wireDouble(record.lifetimeS));
-  appendField(out, wireDouble(record.energyTotalJ));
-  appendField(out, wireDouble(record.energyD2));
-  appendField(out, std::to_string(record.outageEpisodes));
-  appendField(out, wireDouble(record.meanRecoveryLatencyS));
-  appendField(out, wireDouble(record.pdrDuringOutage));
-  appendField(out, std::to_string(record.traceSpans));
-  appendField(out, std::to_string(record.traceReadings));
-  appendField(out, std::to_string(record.traceReroutes));
-  appendField(out, std::to_string(record.traceDropEvents));
-  appendField(out, wireDouble(record.traceMeanPathHops));
-  appendField(out, record.perfCaptured ? "1" : "0");
-  appendField(out, std::to_string(record.perfNodeSteps));
-  appendField(out, std::to_string(record.perfFramesTransmitted));
-  appendField(out, std::to_string(record.perfPairsExamined));
-  appendField(out, std::to_string(record.perfRngDraws));
-  appendField(out, std::to_string(record.perfPeakRssKb));
-  appendField(out, wireDouble(record.perfWallSeconds));
-  appendField(out, wireDouble(record.perfRoundsPerSec));
-  appendField(out, wireDouble(record.perfFramesPerSec));
+  for (const RecordField& field : kFields)
+    std::visit([&](auto m) { appendField(out, wireText(record.*m)); },
+               field.member);
   appendField(out, std::to_string(record.metricsWire.size()));
   out += kSep;
   out += record.metricsWire;
@@ -164,74 +218,37 @@ std::string encodeRecord(const RunRecord& record) {
 }
 
 RunRecord decodeRecord(const std::string& line) {
-  // Split exactly kFixedFields prefix fields; the remainder is the metrics
-  // wire blob (whose own separators must not be split).
-  std::vector<std::string> fields;
   std::size_t start = 0;
-  for (std::size_t i = 0; i + 1 < kFixedFields; ++i) {
+  const auto next = [&] {
     const std::size_t pos = line.find(kSep, start);
-    WMSN_REQUIRE_MSG(pos != std::string::npos,
-                     "truncated run record (field " + std::to_string(i) + ")");
-    fields.push_back(line.substr(start, pos - start));
+    WMSN_REQUIRE_MSG(pos != std::string::npos, "truncated run record");
+    std::string field = line.substr(start, pos - start);
     start = pos + 1;
-  }
-  const std::size_t pos = line.find(kSep, start);
-  WMSN_REQUIRE_MSG(pos != std::string::npos, "truncated run record (tail)");
-  fields.push_back(line.substr(start, pos - start));
-  const std::string tail = line.substr(pos + 1);
-
-  WMSN_REQUIRE_MSG(fields.size() == kFixedFields && fields[0] == kTag,
+    return field;
+  };
+  WMSN_REQUIRE_MSG(next() == kTag,
                    "run record missing '" + std::string(kTag) + "' tag");
   RunRecord r;
-  std::size_t f = 1;
-  r.id = fields[f++];
-  r.cell = fields[f++];
-  r.seed = parseU64(fields[f++]);
-  r.seedIndex = static_cast<std::uint32_t>(parseU64(fields[f++]));
-  const std::string& status = fields[f++];
+  r.id = next();
+  r.cell = next();
+  r.seed = parseWire<std::uint64_t>(next(), "seed");
+  r.seedIndex = parseWire<std::uint32_t>(next(), "seed_index");
+  const std::string status = next();
   WMSN_REQUIRE_MSG(status == "ok" || status == "failed",
                    "run record has unknown status '" + status + "'");
   r.status = status == "ok" ? RunRecord::Status::kOk : RunRecord::Status::kFailed;
-  r.error = fields[f++];
-  r.pdr = parseWireDouble(fields[f++]);
-  r.meanLatencyMs = parseWireDouble(fields[f++]);
-  r.p95LatencyMs = parseWireDouble(fields[f++]);
-  r.meanHops = parseWireDouble(fields[f++]);
-  r.offeredPps = parseWireDouble(fields[f++]);
-  r.goodputPps = parseWireDouble(fields[f++]);
-  r.generated = parseU64(fields[f++]);
-  r.delivered = parseU64(fields[f++]);
-  r.queueDrops = parseU64(fields[f++]);
-  r.macDrops = parseU64(fields[f++]);
-  r.collisions = parseU64(fields[f++]);
-  r.controlBytes = parseU64(fields[f++]);
-  r.dataBytes = parseU64(fields[f++]);
-  r.roundsCompleted = static_cast<std::uint32_t>(parseU64(fields[f++]));
-  r.firstDeathObserved = fields[f++] == "1";
-  r.lifetimeS = parseWireDouble(fields[f++]);
-  r.energyTotalJ = parseWireDouble(fields[f++]);
-  r.energyD2 = parseWireDouble(fields[f++]);
-  r.outageEpisodes = parseU64(fields[f++]);
-  r.meanRecoveryLatencyS = parseWireDouble(fields[f++]);
-  r.pdrDuringOutage = parseWireDouble(fields[f++]);
-  r.traceSpans = parseU64(fields[f++]);
-  r.traceReadings = parseU64(fields[f++]);
-  r.traceReroutes = parseU64(fields[f++]);
-  r.traceDropEvents = parseU64(fields[f++]);
-  r.traceMeanPathHops = parseWireDouble(fields[f++]);
-  r.perfCaptured = fields[f++] == "1";
-  r.perfNodeSteps = parseU64(fields[f++]);
-  r.perfFramesTransmitted = parseU64(fields[f++]);
-  r.perfPairsExamined = parseU64(fields[f++]);
-  r.perfRngDraws = parseU64(fields[f++]);
-  r.perfPeakRssKb = parseU64(fields[f++]);
-  r.perfWallSeconds = parseWireDouble(fields[f++]);
-  r.perfRoundsPerSec = parseWireDouble(fields[f++]);
-  r.perfFramesPerSec = parseWireDouble(fields[f++]);
-  const std::uint64_t wireLen = parseU64(fields[f++]);
-  WMSN_REQUIRE_MSG(tail.size() == wireLen,
+  r.error = next();
+  for (const RecordField& field : kFields)
+    std::visit(
+        [&](auto m) {
+          using T = std::remove_reference_t<decltype(r.*m)>;
+          r.*m = parseWire<T>(next(), field.key);
+        },
+        field.member);
+  const auto wireLen = parseWire<std::uint64_t>(next(), "metrics_length");
+  r.metricsWire = line.substr(start);
+  WMSN_REQUIRE_MSG(r.metricsWire.size() == wireLen,
                    "run record metrics blob length mismatch");
-  r.metricsWire = tail;
   return r;
 }
 

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <variant>
 
 #include "core/experiment.hpp"
 
@@ -82,7 +84,38 @@ struct RunRecord {
   std::string metricsWire;
 
   bool ok() const { return status == Status::kOk; }
+  bool operator==(const RunRecord&) const = default;
 };
+
+/// One row of the scalar-field table (pdr through perfFramesPerSec) that
+/// drives the wire codec, the artifact run row and the artifact's
+/// cell/delta metric lookups.
+struct RecordField {
+  /// When the artifact run row shows the field. Trace and perf summaries
+  /// appear only for runs that captured them, so other artifacts stay
+  /// byte-identical to older builds.
+  enum class Group : std::uint8_t {
+    kAlways,
+    kTrace,     ///< when traceSpans > 0
+    kPerf,      ///< when perfCaptured
+    kWireOnly,  ///< never (perfCaptured itself)
+  };
+
+  std::variant<std::uint64_t RunRecord::*, std::uint32_t RunRecord::*,
+               double RunRecord::*, bool RunRecord::*>
+      member;
+  const char* key;  ///< artifact key; also names the field in decode errors
+  Group group = Group::kAlways;
+  bool breakBefore = false;  ///< artifact row starts a new line before it
+
+  double number(const RunRecord& record) const;  ///< as a statistics sample
+};
+
+/// The scalar fields, in wire order.
+std::span<const RecordField> recordFields();
+
+/// The field with artifact key `key`; throws PreconditionError if none.
+const RecordField& recordField(std::string_view key);
 
 /// Builds an ok-record from a finished run. `totalSimSeconds` censors the
 /// lifetime metric when no sensor died.
@@ -97,7 +130,8 @@ RunRecord makeFailedRecord(const std::string& id, const std::string& cell,
 
 /// Single-line, newline-free, lossless encoding (doubles as hexfloat) used
 /// on the worker result pipe and in the journal. decodeRecord is its exact
-/// inverse; it throws PreconditionError on malformed input.
+/// inverse; it throws PreconditionError, naming the field, on malformed
+/// input.
 std::string encodeRecord(const RunRecord& record);
 RunRecord decodeRecord(const std::string& line);
 

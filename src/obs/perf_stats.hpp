@@ -156,7 +156,7 @@ class AllocationScope {
 /// WMSN_PERF(kFramesOffered) or WMSN_PERF(kPairsExamined, nodeCount). The
 /// null guard is the whole point: with counting off this is a thread-local
 /// load and a branch, and every counting site outside src/obs/ must ride it
-/// (scripts/wmsn_lint.py perf-discipline).
+/// (scripts/wmsn_analyze.py rule R6-macro-discipline).
 #define WMSN_PERF(counter, ...)                                       \
   do {                                                                \
     ::wmsn::obs::PerfStats* wmsnPerfStats =                           \

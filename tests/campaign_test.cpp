@@ -183,7 +183,8 @@ TEST(CampaignExpand, VariantBundlesApplyTheirSettings) {
 
 // --- record wire -----------------------------------------------------------
 
-TEST(CampaignRecord, WireRoundTripsLosslessly) {
+/// A record whose every field holds a distinct non-default value.
+RunRecord fullRecord() {
   RunRecord r;
   r.id = "mlr/gw-crash/s4";
   r.cell = "mlr/gw-crash";
@@ -225,36 +226,50 @@ TEST(CampaignRecord, WireRoundTripsLosslessly) {
   r.perfRoundsPerSec = 96.0;
   r.perfFramesPerSec = 32800.5;
   r.metricsWire = "wmsnmr1\x1e" "payload with \x1f and \x1d inside";
+  return r;
+}
 
-  const RunRecord back = campaign::decodeRecord(campaign::encodeRecord(r));
-  EXPECT_EQ(back.id, r.id);
-  EXPECT_EQ(back.cell, r.cell);
-  EXPECT_EQ(back.seed, r.seed);
-  EXPECT_EQ(back.seedIndex, r.seedIndex);
-  EXPECT_TRUE(back.ok());
-  EXPECT_EQ(back.pdr, r.pdr);  // wmsn-lint: allow(float-equality)
-  EXPECT_EQ(back.energyD2, r.energyD2);  // wmsn-lint: allow(float-equality)
-  EXPECT_EQ(back.generated, r.generated);
-  EXPECT_EQ(back.firstDeathObserved, r.firstDeathObserved);
-  EXPECT_EQ(back.traceSpans, r.traceSpans);
-  EXPECT_EQ(back.traceReadings, r.traceReadings);
-  EXPECT_EQ(back.traceReroutes, r.traceReroutes);
-  EXPECT_EQ(back.traceDropEvents, r.traceDropEvents);
-  // wmsn-lint: allow(float-equality)
-  EXPECT_EQ(back.traceMeanPathHops, r.traceMeanPathHops);
-  EXPECT_EQ(back.perfCaptured, r.perfCaptured);
-  EXPECT_EQ(back.perfNodeSteps, r.perfNodeSteps);
-  EXPECT_EQ(back.perfFramesTransmitted, r.perfFramesTransmitted);
-  EXPECT_EQ(back.perfPairsExamined, r.perfPairsExamined);
-  EXPECT_EQ(back.perfRngDraws, r.perfRngDraws);
-  EXPECT_EQ(back.perfPeakRssKb, r.perfPeakRssKb);
-  // wmsn-lint: allow(float-equality)
-  EXPECT_EQ(back.perfWallSeconds, r.perfWallSeconds);
-  // wmsn-lint: allow(float-equality)
-  EXPECT_EQ(back.perfRoundsPerSec, r.perfRoundsPerSec);
-  // wmsn-lint: allow(float-equality)
-  EXPECT_EQ(back.perfFramesPerSec, r.perfFramesPerSec);
-  EXPECT_EQ(back.metricsWire, r.metricsWire);
+/// fullRecord() in wmsnrec3 wire form, one string per field. The format is
+/// positional, so journals stay readable only while the tag, the field
+/// order and each kind's text (decimal integers, 0/1 bools, hexfloat
+/// doubles) stay exactly as they are.
+std::vector<std::string> fullRecordFields() {
+  return {"wmsnrec3", "mlr/gw-crash/s4", "mlr/gw-crash", "4", "1", "ok", "",
+          // pdr .. goodput_pps
+          "0x1.f9add3746f62ep-4", "0x1.14p+4", "0x1.5p+5", "0x1.4p+1",
+          "0x1p+3", "0x1.ep+2",
+          // generated .. rounds_completed
+          "1000", "987", "3", "1", "17", "123456", "654321", "12",
+          // first_death_observed .. pdr_during_outage
+          "1", "0x1.efp+6", "0x1.1p+0", "0x1.12e0be826d695p-30", "2",
+          "0x1.48p+4", "0x1p-2",
+          // trace summary
+          "4242", "120", "7", "13", "0x1.1p+1",
+          // perf_captured, then the perf summary
+          "1", "360", "4100", "164000", "9001", "5120", "0x1p-3", "0x1.8p+6",
+          "0x1.0041p+15",
+          // metrics blob length, then the blob
+          "35", "wmsnmr1\x1e" "payload with \x1f and \x1d inside"};
+}
+
+std::string joinFields(const std::vector<std::string>& fields) {
+  std::string line = fields.at(0);
+  for (std::size_t i = 1; i < fields.size(); ++i) line += '\x1f' + fields[i];
+  return line;
+}
+
+TEST(CampaignRecord, WireRoundTripsLosslessly) {
+  // RunRecord's == compares every field, so a dropped field or a swapped
+  // pair of same-typed fields fails here. (Doubles are exact: the wire is
+  // hexfloat.)
+  RunRecord r = fullRecord();
+  const std::string line = joinFields(fullRecordFields());
+  EXPECT_EQ(campaign::encodeRecord(r), line);
+  EXPECT_EQ(campaign::decodeRecord(line), r);
+  // The two bools have one non-default value each; differing values catch
+  // a swap between them.
+  r.perfCaptured = false;
+  EXPECT_EQ(campaign::decodeRecord(campaign::encodeRecord(r)), r);
 }
 
 TEST(CampaignRecord, FailedRecordCarriesError) {
@@ -272,6 +287,32 @@ TEST(CampaignRecord, DecodeRejectsGarbage) {
       campaign::encodeRecord(campaign::makeFailedRecord("a/s1", "a", 1, 0, ""));
   EXPECT_THROW(campaign::decodeRecord(line.substr(0, line.size() / 2)),
                PreconditionError);
+
+  // One field of a well-formed line replaced must fail with a
+  // PreconditionError that names the field: no silent narrowing, no lenient
+  // bools, no std::out_of_range escaping from an oversized integer.
+  const auto expectRejected = [](std::size_t index, const std::string& text,
+                                 const std::string& key) {
+    std::vector<std::string> fields = fullRecordFields();
+    fields.at(index) = text;
+    try {
+      campaign::decodeRecord(joinFields(fields));
+      ADD_FAILURE() << key << " = '" << text << "' was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << key << " = '" << text << "' threw " << e.what();
+    }
+  };
+  // Indices into fullRecordFields(); the scalars start at 7.
+  expectRejected(4, "4294967296", "seed_index");
+  expectRejected(3, "99999999999999999999", "seed");
+  expectRejected(7 + 13, "4294967303", "rounds_completed");
+  expectRejected(7 + 14, "x", "first_death_observed");
+  expectRejected(7 + 26, "yes", "perf_captured");
+  expectRejected(7 + 6, "99999999999999999999", "generated");
+  expectRejected(7 + 0, "0x1p+0z", "pdr");
 }
 
 // --- metrics registry wire -------------------------------------------------

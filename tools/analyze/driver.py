@@ -1,8 +1,6 @@
 """wmsn-analyze driver — CLI, ledger application, fixture self-test.
 
-Entry points:
-  scripts/wmsn_analyze.py   the determinism auditor (full rule pack)
-  scripts/wmsn_lint.py      back-compat shim (same engine, deprecation note)
+Entry point: scripts/wmsn_analyze.py, the determinism auditor.
 
 Modes:
   (default)      scan src/ tests/ bench/ examples/ under --root, apply the
@@ -46,12 +44,12 @@ def analyze_tree(root, selection=None, with_ledger=True):
     return findings, len(files), audit
 
 
-def print_findings(findings, audit, scanned, as_json, label="wmsn-analyze"):
+def print_findings(findings, audit, scanned, as_json):
     open_findings = [f for f in findings if not f.suppressed] + audit
     if as_json:
         print(json.dumps({
             "version": 1,
-            "tool": label,
+            "tool": "wmsn-analyze",
             "scanned": scanned,
             "unsuppressed": len(open_findings),
             "findings": [f.as_json() for f in open_findings],
@@ -62,10 +60,10 @@ def print_findings(findings, audit, scanned, as_json, label="wmsn-analyze"):
         print(f.format())
     suppressed = sum(1 for f in findings if f.suppressed)
     if open_findings:
-        print(f"{label}: {len(open_findings)} finding(s) in {scanned} files "
+        print(f"wmsn-analyze: {len(open_findings)} finding(s) in {scanned} files "
               f"({suppressed} suppressed)", file=sys.stderr)
         return 1
-    print(f"{label}: clean ({scanned} files, {suppressed} suppressed)")
+    print(f"wmsn-analyze: clean ({scanned} files, {suppressed} suppressed)")
     return 0
 
 
@@ -169,9 +167,9 @@ def run_fixtures(fixtures_dir):
 
 # ---------------------------------------------------------------------------
 
-def main(argv=None, label="wmsn-analyze", deprecation_note=None):
+def main(argv=None):
     parser = argparse.ArgumentParser(
-        prog=label, description=__doc__.splitlines()[0])
+        prog="wmsn-analyze", description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=None,
                         help="repo root (default: the tool's repo)")
     parser.add_argument("--list-rules", action="store_true")
@@ -185,9 +183,6 @@ def main(argv=None, label="wmsn-analyze", deprecation_note=None):
                              "(default: tools/analyze/fixtures)")
     args = parser.parse_args(argv)
 
-    if deprecation_note:
-        print(deprecation_note, file=sys.stderr)
-
     if args.list_rules:
         return list_rules()
 
@@ -195,7 +190,7 @@ def main(argv=None, label="wmsn-analyze", deprecation_note=None):
         os.path.dirname(os.path.abspath(__file__))))
     root = args.root or tool_root
     if not os.path.isdir(root):
-        print(f"{label}: no such directory: {root}", file=sys.stderr)
+        print(f"wmsn-analyze: no such directory: {root}", file=sys.stderr)
         return 2
 
     if args.fixtures is not None:
@@ -205,4 +200,4 @@ def main(argv=None, label="wmsn-analyze", deprecation_note=None):
 
     selection = args.rules.split(",") if args.rules else None
     findings, scanned, audit = analyze_tree(root, selection)
-    return print_findings(findings, audit, scanned, args.json, label=label)
+    return print_findings(findings, audit, scanned, args.json)
