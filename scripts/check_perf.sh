@@ -12,13 +12,17 @@
 #      That golden was captured on the pre-spatial-grid O(n²) kernel, so
 #      this is the standing proof that the grid + active-set kernel
 #      (docs/KERNEL.md) changed HOW the work is done, not WHAT happens.
-#   3. pairs budget — at the 4k curve point, pairs_examined (grid
-#      candidates) must stay within an O(n·k) budget: at most
-#      WMSN_PERF_PAIRS_BUDGET_PER_FRAME (default 200) candidates per
-#      transmitted frame. The pre-grid kernel examined ~4000 per frame
+#   3. pairs and allocation budgets — at the 4k curve point,
+#      pairs_examined (grid candidates) must stay within an O(n·k) budget:
+#      at most WMSN_PERF_PAIRS_BUDGET_PER_FRAME (default 200) candidates
+#      per transmitted frame. The pre-grid kernel examined ~4000 per frame
 #      (one per node); the grid examines ~19. A regression back toward
 #      all-pairs scanning trips this long before it trips a wall-clock
-#      gate.
+#      gate. The same run's heap allocations (telemetry.alloc_count) must
+#      stay at most 8 per transmitted frame — a fixed ceiling with no
+#      override. The slab event queue, inline actions and shared frames
+#      (docs/KERNEL.md) brought this from ~40 to ~6.4; a closure or packet
+#      copy creeping back onto the per-frame path trips it deterministically.
 #   4. throughput smoke  — the 1k point of the committed kernel-scaling
 #      baseline (BENCH_kernel.json, campaigns/kernel_scale.spec) must be
 #      reproducible: best-of-3 rounds/sec within a tolerance of the
@@ -103,7 +107,7 @@ if ! cmp -s "$srcdir/tests/golden/kernel_1k/metrics.json" \
 fi
 echo "check_perf: pre-grid golden ok (1k stdout + metrics byte-identical)"
 
-# --- 3. pairs budget at the 4k curve point ---------------------------------
+# --- 3. pairs and allocation budgets at the 4k curve point -----------------
 kernel4k=(--protocol mlr --deployment grid --sensors 4000 --gateways 2
           --places 4 --area 1270 --rounds 2 --static --workload poisson
           --rate 0.0175 --seed 31)
@@ -123,7 +127,14 @@ ok = per_frame <= budget
 print(f"check_perf: 4k pairs budget {per_frame:.1f} candidates/frame "
       f"(budget {budget:g}; all-pairs would be ~4000) "
       f"{'ok' if ok else 'EXCEEDED'}")
-sys.exit(0 if ok else 1)
+allocs = doc["telemetry"]["alloc_count"]
+alloc_ceiling = 8.0
+allocs_per_frame = allocs / frames
+alloc_ok = allocs_per_frame <= alloc_ceiling
+print(f"check_perf: 4k allocation ceiling {allocs_per_frame:.2f} "
+      f"allocations/frame (ceiling {alloc_ceiling:g}; ~40 before the slab "
+      f"event queue) {'ok' if alloc_ok else 'EXCEEDED'}")
+sys.exit(0 if ok and alloc_ok else 1)
 EOF
 
 # --- 4. throughput smoke vs the committed baseline -------------------------

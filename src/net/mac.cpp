@@ -80,8 +80,9 @@ void CsmaMac::serve(Packet packet) {
   WMSN_PERF(kRngDraws);
   const sim::Time jitter = sim::Time::microseconds(
       rng_.uniformInt(0, params_.backoffUnit.us * 8));
-  simulator_.schedule(jitter,
-                      [this, packet = std::move(packet)] { attempt(packet, 0); });
+  simulator_.schedule(jitter, [this, packet = std::move(packet)]() mutable {
+    attempt(std::move(packet), 0);
+  });
 }
 
 void CsmaMac::attempt(Packet packet, std::uint32_t tries) {
@@ -117,7 +118,9 @@ void CsmaMac::attempt(Packet packet, std::uint32_t tries) {
   const std::int64_t slots = rng_.uniformInt(1, (1 << be) - 1);
   simulator_.schedule(
       sim::Time::microseconds(slots * params_.backoffUnit.us),
-      [this, packet = std::move(packet), tries] { attempt(packet, tries + 1); });
+      [this, packet = std::move(packet), tries]() mutable {
+        attempt(std::move(packet), tries + 1);
+      });
 }
 
 void CsmaMac::serveNext() {

@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "net/medium.hpp"
 #include "net/metrics.hpp"
@@ -56,7 +57,9 @@ class Mac {
 class IdealMac final : public Mac {
  public:
   IdealMac(Medium& medium, NodeId self) : medium_(medium), self_(self) {}
-  void send(Packet packet) override { medium_.transmit(self_, packet); }
+  void send(Packet packet) override {
+    medium_.transmit(self_, std::move(packet));
+  }
 
  private:
   Medium& medium_;

@@ -50,24 +50,44 @@ fault::GilbertElliottChain& Medium::chainFor(NodeId rx) {
   return it->second;
 }
 
+std::uint32_t Medium::acquireReception(sim::Time start, sim::Time end) {
+  std::uint32_t index;
+  if (freeReceptions_.empty()) {
+    index = static_cast<std::uint32_t>(receptions_.size());
+    receptions_.emplace_back();
+  } else {
+    index = freeReceptions_.back();
+    freeReceptions_.pop_back();
+  }
+  // Two owners: the receiver's rxOngoing_ list and the end-of-air event.
+  receptions_[index] = Reception{start, end, false, 2};
+  return index;
+}
+
+void Medium::releaseReception(std::uint32_t index) {
+  if (--receptions_[index].owners == 0) freeReceptions_.push_back(index);
+}
+
 void Medium::transmit(NodeId from, Packet packet) {
   const std::uint32_t retries =
       (params_.unicastArq && packet.hopDst != kBroadcastId)
           ? params_.maxArqRetries
           : 0;
-  transmitAttempt(from, std::move(packet), retries);
+  packet.hopSrc = from;
+  transmitAttempt(from, std::make_shared<const Packet>(std::move(packet)),
+                  retries);
 }
 
-void Medium::transmitAttempt(NodeId from, Packet packet,
+void Medium::transmitAttempt(NodeId from, const Frame& frame,
                              std::uint32_t retriesLeft) {
   if (!host_.aliveOf(from)) return;
 
+  const Packet& packet = *frame;
   const sim::Time now = simulator_.now();
   const sim::Time end = now + airTime(packet);
   const Point srcPos = host_.positionOf(from);
   const std::size_t bits = packet.sizeBits();
 
-  packet.hopSrc = from;
   ++framesTransmitted_;
   WMSN_PERF(kFramesTransmitted);
   host_.noteTransmit(packet.kind, packet.sizeBytes());
@@ -98,23 +118,23 @@ void Medium::transmitAttempt(NodeId from, Packet packet,
     if (rx == from || !host_.listeningOf(rx)) continue;
 
     auto& ongoing = rxOngoing_[rx];
-    std::erase_if(ongoing, [&](const auto& r) { return r->end <= now; });
+    std::erase_if(ongoing, [&](std::uint32_t r) {
+      if (receptions_[r].end > now) return false;
+      releaseReception(r);
+      return true;
+    });
 
-    auto reception = std::make_shared<Reception>();
-    reception->receiver = rx;
-    reception->start = now;
-    reception->end = end;
-
+    const std::uint32_t reception = acquireReception(now, end);
     if (params_.collisions) {
-      for (const auto& other : ongoing) {
+      for (const std::uint32_t other : ongoing) {
         // Receiver capture: the radio stays locked on the frame it started
         // decoding first; a later-arriving overlapping frame is lost, but
         // does not corrupt the locked one. Simultaneous starts jam both.
-        if (other->start < now) {
-          reception->corrupted = true;
+        if (receptions_[other].start < now) {
+          receptions_[reception].corrupted = true;
         } else {
-          other->corrupted = true;
-          reception->corrupted = true;
+          receptions_[other].corrupted = true;
+          receptions_[reception].corrupted = true;
         }
       }
     }
@@ -130,35 +150,35 @@ void Medium::transmitAttempt(NodeId from, Packet packet,
     // without it.
     const bool linkOk =
         !params_.linkLoss.enabled || !chainFor(rx).step();
-    const bool isArqTarget = packet.hopDst == rx;
 
-    simulator_.scheduleAt(end, [this, reception, packet, channelOk, linkOk,
-                                isArqTarget, retriesLeft, from] {
-      const NodeId rxId = reception->receiver;
-      const bool rxAlive = host_.listeningOf(rxId);
-      const bool decoded =
-          rxAlive && !reception->corrupted && channelOk && linkOk;
+    simulator_.scheduleAt(end, [this, frame, reception, rx, from, retriesLeft,
+                                channelOk, linkOk] {
+      const Packet& packet = *frame;
+      const bool corrupted = receptions_[reception].corrupted;
+      releaseReception(reception);
+      const bool isArqTarget = packet.hopDst == rx;
+      const bool rxAlive = host_.listeningOf(rx);
+      const bool decoded = rxAlive && !corrupted && channelOk && linkOk;
       if (rxAlive) {
         // The radio listened for the whole frame either way.
-        host_.chargeRx(rxId, energy_.rxCost(packet.sizeBits()));
-        if (reception->corrupted) {
+        host_.chargeRx(rx, energy_.rxCost(packet.sizeBits()));
+        if (corrupted) {
           ++framesCorrupted_;
           host_.noteCollision();
         }
-        if (!reception->corrupted && channelOk && !linkOk)
-          ++framesLinkFaultDropped_;
+        if (!corrupted && channelOk && !linkOk) ++framesLinkFaultDropped_;
       }
 
       if (isArqTarget && retriesLeft > 0 && !decoded) {
         // 802.15.4 AUTO-ACK ARQ: no immediate ACK arrived — retransmit
-        // after the turnaround plus a short random backoff.
+        // the same frame after the turnaround plus a short random backoff.
         ++arqRetransmissions_;
         WMSN_PERF(kRngDraws);
         const sim::Time backoff =
             params_.arqTurnaround +
             sim::Time::microseconds(rng_.uniformInt(0, 1000));
-        simulator_.schedule(backoff, [this, from, packet, retriesLeft] {
-          transmitAttempt(from, packet, retriesLeft - 1);
+        simulator_.schedule(backoff, [this, from, frame, retriesLeft] {
+          transmitAttempt(from, frame, retriesLeft - 1);
         });
         return;
       }
@@ -167,10 +187,9 @@ void Medium::transmitAttempt(NodeId from, Packet packet,
         // if any — is spent): attribute the hop's fate for the analyzer.
         if (isArqTarget && packet.kind == PacketKind::kData)
           WMSN_TRACE(tracer_, obs::TraceSpanKind::kDrop,
-                     simulator_.now().us, packet.uid, rxId, from,
-                     reception->corrupted
-                         ? obs::TraceDropReason::kCollision
-                         : obs::TraceDropReason::kLinkLoss,
+                     simulator_.now().us, packet.uid, rx, from,
+                     corrupted ? obs::TraceDropReason::kCollision
+                               : obs::TraceDropReason::kLinkLoss,
                      packet.hops,
                      static_cast<std::uint32_t>(packet.sizeBytes()));
         return;
@@ -180,14 +199,14 @@ void Medium::transmitAttempt(NodeId from, Packet packet,
         // Successful unicast: account the immediate-ACK exchange (the ACK
         // itself is modelled as reliable — it rides the SIFS turnaround).
         const std::size_t ackBits = params_.ackFrameBytes * 8;
-        host_.chargeTx(rxId, energy_.txCost(ackBits, radio_.nominalRange()));
+        host_.chargeTx(rx, energy_.txCost(ackBits, radio_.nominalRange()));
         host_.chargeRx(from, energy_.rxCost(ackBits));
       }
 
-      if (packet.hopDst != kBroadcastId && packet.hopDst != rxId &&
-          !promiscuous_.contains(rxId))
+      if (packet.hopDst != kBroadcastId && packet.hopDst != rx &&
+          !promiscuous_.contains(rx))
         return;
-      host_.deliverFrame(rxId, packet, packet.hopSrc);
+      host_.deliverFrame(rx, packet, packet.hopSrc);
     });
   }
 }
@@ -205,11 +224,12 @@ void Medium::transmitLongRange(NodeId from, NodeId to, Packet packet) {
   host_.noteTransmit(packet.kind, packet.sizeBytes());
   host_.chargeTx(from, energy_.txCost(bits, d));
 
-  simulator_.scheduleAt(end, [this, to, packet] {
-    if (!host_.listeningOf(to)) return;
-    host_.chargeRx(to, energy_.rxCost(packet.sizeBits()));
-    host_.deliverFrame(to, packet, packet.hopSrc);
-  });
+  simulator_.scheduleAt(
+      end, [this, to, frame = std::make_shared<const Packet>(std::move(packet))] {
+        if (!host_.listeningOf(to)) return;
+        host_.chargeRx(to, energy_.rxCost(frame->sizeBits()));
+        host_.deliverFrame(to, *frame, frame->hopSrc);
+      });
 }
 
 }  // namespace wmsn::net

@@ -118,14 +118,26 @@ class Medium {
   }
 
  private:
+  /// One receiver's view of one in-flight frame (collision bookkeeping).
+  /// Entries live in the receptions_ slab and have exactly two owners: the
+  /// receiver's rxOngoing_ list (until a later reception prunes it) and the
+  /// frame's pending end-of-air event (until it fires). Either may let go
+  /// first; the slot is recycled when both have. An event that never fires
+  /// (a cleared queue) keeps its slot until the Medium is destroyed.
   struct Reception {
-    NodeId receiver;
     sim::Time start;
     sim::Time end;
     bool corrupted = false;
+    std::uint8_t owners = 0;
   };
+  /// One immutable frame per transmission, shared by every receiver's
+  /// end-of-air event and by the ARQ retries of the same frame.
+  using Frame = std::shared_ptr<const Packet>;
 
-  void transmitAttempt(NodeId from, Packet packet, std::uint32_t retriesLeft);
+  void transmitAttempt(NodeId from, const Frame& frame,
+                       std::uint32_t retriesLeft);
+  std::uint32_t acquireReception(sim::Time start, sim::Time end);
+  void releaseReception(std::uint32_t index);
   fault::GilbertElliottChain& chainFor(NodeId rx);
 
   sim::Simulator& simulator_;
@@ -141,9 +153,12 @@ class Medium {
   /// whose sender was in range of this node when it keyed up. channelBusy is
   /// one array read; no transmission list is kept, let alone scanned.
   std::vector<sim::Time> busyUntil_;
-  /// Per-receiver in-flight receptions (collision bookkeeping). Expired
+  /// Reception slab and its free list (see Reception).
+  std::vector<Reception> receptions_;
+  std::vector<std::uint32_t> freeReceptions_;
+  /// Per-receiver in-flight receptions, as receptions_ indices. Expired
   /// entries are pruned inline whenever a receiver gains a new reception.
-  std::vector<std::vector<std::shared_ptr<Reception>>> rxOngoing_;
+  std::vector<std::vector<std::uint32_t>> rxOngoing_;
   /// Scratch for grid candidate queries — reused across transmissions.
   std::vector<std::uint32_t> scratch_;
   std::unordered_set<NodeId> promiscuous_;

@@ -14,16 +14,6 @@ bool RoutingProtocol::isGateway() const {
   return network_.node(self_).isGateway();
 }
 
-void RoutingProtocol::scheduleAfter(sim::Time delay,
-                                    std::function<void()> action) {
-  // Wrap so the action silently no-ops when the node has died meanwhile —
-  // a dead node's timers must not fire protocol logic.
-  network_.simulator().schedule(
-      delay, [this, action = std::move(action)] {
-        if (network_.node(self_).alive()) action();
-      });
-}
-
 net::Packet RoutingProtocol::makePacket(net::PacketKind kind,
                                         net::NodeId hopDst,
                                         Bytes payload) const {

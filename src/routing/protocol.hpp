@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/sensor_network.hpp"
@@ -59,7 +60,18 @@ class RoutingProtocol {
   sim::Time now() const { return network_.simulator().now(); }
   Rng& rng() { return network_.node(self_).rng(); }
 
-  void scheduleAfter(sim::Time delay, std::function<void()> action);
+  /// Runs `action` after `delay`, unless this node has died meanwhile — a
+  /// dead node's timers must not fire protocol logic. A template rather than
+  /// a sim::Action parameter so the guard and the action are erased into
+  /// one closure: nesting one Action in another would push every guarded
+  /// timer past the inline storage onto the heap.
+  template <typename F>
+  void scheduleAfter(sim::Time delay, F&& action) {
+    network_.simulator().schedule(
+        delay, [this, action = std::forward<F>(action)]() mutable {
+          if (alive()) action();
+        });
+  }
 
   /// Builds a packet originated (this hop) by this node.
   net::Packet makePacket(net::PacketKind kind, net::NodeId hopDst,

@@ -324,6 +324,89 @@ TEST(Medium, ArqRetransmitsThroughTransientLoss) {
   EXPECT_GE(withArq, 40);  // 4 tries at ~56% each ≈ 96%
 }
 
+TEST(Medium, ReceptionPrunedBeforeItsEndOfAirKeepsItsOutcome) {
+  // Frame A ends at R exactly when B and C key up. B's transmit was
+  // scheduled before A's end-of-air events, so at that instant it fires
+  // first and prunes A's expired reception from R's in-flight list; C then
+  // jams B. A's end-of-air event still fires afterwards and must see A's
+  // own (clean) reception, not whatever took its place.
+  SensorNetworkParams params;
+  params.mac = MacKind::kIdeal;
+  params.medium.collisions = true;
+  params.medium.unicastArq = false;
+  NetFixture f(params);
+  const NodeId a = f.network.addSensor({0, 0});
+  const NodeId r = f.network.addSensor({10, 0});
+  const NodeId b = f.network.addSensor({20, 0});
+  const NodeId c = f.network.addSensor({10, 10});
+  std::vector<std::uint64_t> got;
+  f.network.node(r).setReceiveHandler(
+      [&](const Packet& p, NodeId) { got.push_back(p.uid); });
+
+  auto hello = [](std::uint64_t uid) {
+    Packet pkt;
+    pkt.kind = PacketKind::kHello;
+    pkt.hopDst = kBroadcastId;
+    pkt.uid = uid;
+    return pkt;
+  };
+  const Packet frameA = hello(101);
+  const sim::Time endA = f.network.medium().airTime(frameA);
+  f.simulator.scheduleAt(endA, [&] {
+    f.network.sendFrom(b, hello(102));
+    f.network.sendFrom(c, hello(103));  // same instant: jams B at R
+  });
+  f.network.sendFrom(a, frameA);
+  f.simulator.run();
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{101}));
+  EXPECT_GE(f.network.medium().framesCorrupted(), 2u);
+}
+
+TEST(Medium, ArqRetransmissionKeepsFrameIntact) {
+  // Fringe link: most unicasts need ARQ retries, each of which re-sends
+  // the same frame. Every copy that finally decodes must carry the
+  // original link-layer source, uid and payload bytes.
+  sim::Simulator simulator;
+  SensorNetworkParams params;
+  params.mac = MacKind::kIdeal;
+  params.medium.unicastArq = true;
+  params.seed = 7;
+  SensorNetwork network(simulator,
+                        std::make_unique<LogDistanceRadio>(10.0, 30.0), params);
+  const NodeId a = network.addSensor({0, 0});
+  const NodeId b = network.addSensor({15, 0});
+  auto payloadFor = [](std::uint64_t uid) {
+    Bytes payload(24);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+      payload[i] = static_cast<std::uint8_t>(uid * 31 + i);
+    return payload;
+  };
+  int got = 0;
+  network.node(b).setReceiveHandler([&](const Packet& p, NodeId from) {
+    ++got;
+    EXPECT_EQ(from, a);
+    EXPECT_EQ(p.hopSrc, a);
+    EXPECT_EQ(p.hopDst, b);
+    EXPECT_GE(p.uid, 1000u);
+    EXPECT_LT(p.uid, 1030u);
+    EXPECT_EQ(p.payload, payloadFor(p.uid));
+  });
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    simulator.schedule(sim::Time::milliseconds(10 * (i + 1)),
+                       [&network, &payloadFor, a, b, i] {
+                         Packet pkt;
+                         pkt.kind = PacketKind::kData;
+                         pkt.hopDst = b;
+                         pkt.uid = 1000 + i;
+                         pkt.payload = payloadFor(pkt.uid);
+                         network.sendFrom(a, pkt);
+                       });
+  }
+  simulator.run();
+  EXPECT_GT(network.medium().arqRetransmissions(), 0u);
+  EXPECT_GE(got, 25);
+}
+
 TEST(Medium, ChannelBusyDuringTransmission) {
   NetFixture f(idealParams());
   const NodeId a = f.network.addSensor({0, 0});
