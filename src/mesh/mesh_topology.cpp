@@ -26,6 +26,8 @@ std::vector<MeshNodeId> MeshTopology::idsOf(MeshNodeKind kind) const {
 bool MeshTopology::linked(MeshNodeId a, MeshNodeId b) const {
   WMSN_REQUIRE(a < nodes.size() && b < nodes.size());
   if (a == b) return false;
+  // The mesh tier's link predicate, as RadioModel::linked is the sensor
+  // tier's. wmsn-lint: allow(rangescan-discipline)
   return net::distanceSq(nodes[a].position, nodes[b].position) <=
          linkRange * linkRange;
 }

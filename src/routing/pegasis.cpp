@@ -46,11 +46,15 @@ void PegasisRouting::buildChain() {
     return network().node(id).position();
   };
 
+  // The greedy chain is O(n²) by protocol: nearest-neighbor and farthest-
+  // point searches over all alive sensors, not range tests a grid prunes.
+  auto sinkDistSq = [&](std::size_t i) {
+    // wmsn-lint: allow(rangescan-discipline)
+    return net::distanceSq(posOf(alive[i]), sinkPos);
+  };
   std::size_t farthest = 0;
   for (std::size_t i = 1; i < alive.size(); ++i)
-    if (net::distanceSq(posOf(alive[i]), sinkPos) >
-        net::distanceSq(posOf(alive[farthest]), sinkPos))
-      farthest = i;
+    if (sinkDistSq(i) > sinkDistSq(farthest)) farthest = i;
 
   std::vector<bool> used(alive.size(), false);
   chain_.push_back(alive[farthest]);
@@ -61,6 +65,7 @@ void PegasisRouting::buildChain() {
     double bestD = std::numeric_limits<double>::max();
     for (std::size_t i = 0; i < alive.size(); ++i) {
       if (used[i]) continue;
+      // wmsn-lint: allow(rangescan-discipline)
       const double d = net::distanceSq(tail, posOf(alive[i]));
       if (d < bestD) {
         bestD = d;

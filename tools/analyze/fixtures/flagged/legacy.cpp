@@ -19,6 +19,20 @@ inline bool near(Radio& r) {
   return r.linked(0, 1);  // expect: rangescan-discipline
 }
 
+struct Point {
+  double x, y;
+};
+
+// An all-pairs loop on raw distances, invisible to the linked() check.
+inline int neighborsWithin(const Point* pts, int n, double r) {
+  int count = 0;
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+      if (net::distanceSq(pts[i], pts[j]) <= r * r)  // expect: rangescan-discipline
+        ++count;
+  return count;
+}
+
 struct Hub {
   std::function<void(int)> frameObserver_;  // expect: observer-contract
 };

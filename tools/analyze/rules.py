@@ -533,18 +533,30 @@ def check_process_discipline(f, ctx, emit):
 
 _RANGESCAN_EXEMPT = re.compile(r"^(src/(sim|net|mesh)/|tests/|bench/)")
 _RANGESCAN_CALL = re.compile(r"[.>]\s*linked\s*\(")
+# Raw distance tests are the kernel's and the radio's business: the grid,
+# the link predicates, the geometry primitive and the one set-up BFS
+# (net::unitDiskHops). Tests keep brute-force oracles.
+_DISTANCE_EXEMPT = re.compile(
+    r"^(src/sim/|src/net/(radio\.cpp|geometry\.hpp|unit_disk\.cpp)$|tests/)")
+_DISTANCE_CALL = re.compile(r"(?<!\w)distanceSq\s*\(")
 
 
 def check_rangescan_discipline(f, ctx, emit):
-    if _RANGESCAN_EXEMPT.search(f.rel):
-        return
+    linked_ok = _RANGESCAN_EXEMPT.search(f.rel)
+    distance_ok = _DISTANCE_EXEMPT.search(f.rel)
     for i, line in enumerate(f.code_lines, start=1):
-        if _RANGESCAN_CALL.search(line):
+        if not linked_ok and _RANGESCAN_CALL.search(line):
             emit(Finding(
                 "rangescan-discipline", f.rel, i,
                 "direct linked() range test re-grows the O(n²) all-pairs "
                 "scan; query SensorNetwork::neighborsOf or the spatial "
                 "grid (docs/KERNEL.md)"))
+        if not distance_ok and _DISTANCE_CALL.search(line):
+            emit(Finding(
+                "rangescan-discipline", f.rel, i,
+                "raw distanceSq() range test re-grows the O(n²) all-pairs "
+                "scan; use net::unitDiskHops, SensorNetwork::neighborsOf "
+                "or the spatial grid (docs/KERNEL.md)"))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +616,8 @@ RULES = [
          "pool's crash-isolation hygiene",
          check_process_discipline, inline_ok=True),
     Rule("rangescan-discipline", "lint",
-         "direct linked() range test outside src/sim|net|mesh",
+         "direct linked() range test outside src/sim|net|mesh, or raw "
+         "distanceSq() outside the grid, radio and set-up BFS",
          "re-grows the O(n²) all-pairs scan the spatial grid deleted",
          check_rangescan_discipline, inline_ok=True),
 ]
