@@ -23,6 +23,12 @@
 #      override. The slab event queue, inline actions and shared frames
 #      (docs/KERNEL.md) brought this from ~40 to ~6.4; a closure or packet
 #      copy creeping back onto the per-frame path trips it deterministically.
+#      SecMLR gets its own fixed ceiling, also with no override: at most 21
+#      allocations per transmitted frame on the perfbench secmlr_mobile
+#      scenario (100 sensors, 3 moving gateways, 20 rounds, seed 7). The
+#      shared keyring and the early duplicate-query drop (docs/KERNEL.md
+#      "SecMLR key material") brought it from ~68 to ~17.5; per-node key
+#      derivation or a decode of every duplicate query coming back trips it.
 #   4. throughput smoke  — the 1k point of the committed kernel-scaling
 #      baseline (BENCH_kernel.json, campaigns/kernel_scale.spec) must be
 #      reproducible: best-of-3 rounds/sec within a tolerance of the
@@ -135,6 +141,24 @@ print(f"check_perf: 4k allocation ceiling {allocs_per_frame:.2f} "
       f"allocations/frame (ceiling {alloc_ceiling:g}; ~40 before the slab "
       f"event queue) {'ok' if alloc_ok else 'EXCEEDED'}")
 sys.exit(0 if ok and alloc_ok else 1)
+EOF
+
+secmlr=(--protocol secmlr --deployment grid --sensors 100 --gateways 3
+        --places 6 --rounds 20 --packets 4 --seed 7)
+mkdir "$work/secmlr"
+(cd "$work/secmlr" && "$cli" "${secmlr[@]}" --perf-out perf.json) >/dev/null
+python3 - "$work/secmlr/perf.json" <<'EOF' || exit 1
+import json, sys
+doc = json.load(open(sys.argv[1]))
+frames = doc["counters"]["frames_transmitted"]
+assert frames > 0, doc["counters"]
+per_frame = doc["telemetry"]["alloc_count"] / frames
+ceiling = 21.0
+ok = per_frame <= ceiling
+print(f"check_perf: SecMLR allocation ceiling {per_frame:.2f} "
+      f"allocations/frame (ceiling {ceiling:g}; ~68 before the shared "
+      f"keyring) {'ok' if ok else 'EXCEEDED'}")
+sys.exit(0 if ok else 1)
 EOF
 
 # --- 4. throughput smoke vs the committed baseline -------------------------

@@ -75,8 +75,7 @@ std::unique_ptr<routing::RoutingProtocol> makeOne(
 
 void installAttack(routing::ProtocolStack& stack, net::SensorNetwork& network,
                    const AttackPlan& plan, VictimProtocol victim,
-                   const routing::MlrParams& mlrParams,
-                   const routing::SecMlrConfig& secConfig) {
+                   const routing::MlrParams& mlrParams) {
   if (plan.kind == AttackKind::kNone || plan.attackers.empty()) return;
   if (plan.kind == AttackKind::kWormhole)
     WMSN_REQUIRE_MSG(plan.attackers.size() == 2,
@@ -96,8 +95,11 @@ void installAttack(routing::ProtocolStack& stack, net::SensorNetwork& network,
       attacker = makeOne<routing::MlrRouting>(
           plan, tunnel, network, id, stack.knowledge(), mlrParams);
     } else {
+      auto keyring =
+          dynamic_cast<routing::SecMlrRouting&>(stack.at(id)).keyring();
       attacker = makeOne<routing::SecMlrRouting>(
-          plan, tunnel, network, id, stack.knowledge(), secConfig, mlrParams);
+          plan, tunnel, network, id, stack.knowledge(), std::move(keyring),
+          mlrParams);
     }
     stack.replace(id, std::move(attacker));
 

@@ -69,12 +69,12 @@ class AttackerIntrospection {
 /// laptop-class attacks (hello flood, wormhole, replay) — their batteries are
 /// upgraded to mains power, per the standard outsider-device threat model.
 ///
-/// `mlrParams`/`secConfig` must match the honest nodes' configuration so the
-/// insiders blend in.
+/// `mlrParams` must match the honest nodes' configuration so the insiders
+/// blend in. A SecMLR insider keeps the captured node's keyring: capture
+/// hands the attacker every key the node was flashed with.
 void installAttack(routing::ProtocolStack& stack, net::SensorNetwork& network,
                    const AttackPlan& plan, VictimProtocol victim,
-                   const routing::MlrParams& mlrParams,
-                   const routing::SecMlrConfig& secConfig);
+                   const routing::MlrParams& mlrParams);
 
 /// Sums attacker counters over the installed attackers.
 AttackerStats collectAttackerStats(routing::ProtocolStack& stack,

@@ -79,10 +79,13 @@ routing::ProtocolStack::Factory makeFactory(const ScenarioConfig& config) {
         return std::make_unique<routing::MlrRouting>(n, id, k, params);
       };
     case ProtocolKind::kSecMlr:
-      return [sec = config.secmlr, params = config.mlr](
-                 net::SensorNetwork& n, net::NodeId id,
-                 const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::SecMlrRouting>(n, id, k, sec, params);
+      // One keyring per scenario: every node's keys derive from the same
+      // master, so the nodes share what it computes.
+      return [keyring = std::make_shared<routing::SecMlrKeyring>(config.secmlr),
+              params = config.mlr](net::SensorNetwork& n, net::NodeId id,
+                                   const routing::NetworkKnowledge& k) {
+        return std::make_unique<routing::SecMlrRouting>(n, id, k, keyring,
+                                                        params);
       };
   }
   throw PreconditionError("unknown protocol kind");
@@ -176,7 +179,7 @@ std::unique_ptr<Scenario> assemble(const ScenarioConfig& config,
                             ? attacks::VictimProtocol::kSecMlr
                             : attacks::VictimProtocol::kMlr;
     attacks::installAttack(*scenario->stack, *scenario->network, plan, victim,
-                           cfg.mlr, cfg.secmlr);
+                           cfg.mlr);
     scenario->config.attack = plan;  // expose the chosen attacker ids
   }
 

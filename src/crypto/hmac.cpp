@@ -7,8 +7,7 @@
 
 namespace wmsn::crypto {
 
-HmacSha256::Digest HmacSha256::mac(std::span<const std::uint8_t> key,
-                                   std::span<const std::uint8_t> message) {
+HmacSha256::Keyed::Keyed(std::span<const std::uint8_t> key) {
   WMSN_PROFILE_PHASE(kCrypto);
   constexpr std::size_t kBlockSize = 64;
   std::array<std::uint8_t, kBlockSize> keyBlock{};
@@ -26,30 +25,37 @@ HmacSha256::Digest HmacSha256::mac(std::span<const std::uint8_t> key,
     ipad[i] = keyBlock[i] ^ 0x36;
     opad[i] = keyBlock[i] ^ 0x5c;
   }
+  inner_.update(ipad);
+  outer_.update(opad);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
+HmacSha256::Digest HmacSha256::Keyed::mac(
+    std::span<const std::uint8_t> prefix,
+    std::span<const std::uint8_t> message) const {
+  WMSN_PROFILE_PHASE(kCrypto);
+  Sha256 inner = inner_;
+  inner.update(prefix);
   inner.update(message);
   const auto innerDigest = inner.finish();
 
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer = outer_;
   outer.update(innerDigest);
   return outer.finish();
 }
 
-PacketMac packetMac(const Key& key, std::uint64_t counter,
+PacketMac packetMac(const HmacSha256::Keyed& key, std::uint64_t counter,
                     std::span<const std::uint8_t> message) {
-  ByteWriter w;
-  w.u64(counter);
-  w.raw(message);
-  const auto full = HmacSha256::mac(key, w.data());
+  // C in ByteWriter::u64's little-endian layout.
+  std::array<std::uint8_t, 8> c{};
+  for (std::size_t i = 0; i < c.size(); ++i)
+    c[i] = static_cast<std::uint8_t>(counter >> (8 * i));
+  const auto full = key.mac(c, message);
   PacketMac tag;
   std::copy_n(full.begin(), tag.size(), tag.begin());
   return tag;
 }
 
-bool verifyPacketMac(const Key& key, std::uint64_t counter,
+bool verifyPacketMac(const HmacSha256::Keyed& key, std::uint64_t counter,
                      std::span<const std::uint8_t> message,
                      const PacketMac& tag) {
   const PacketMac expected = packetMac(key, counter, message);

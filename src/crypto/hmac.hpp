@@ -18,11 +18,33 @@ class HmacSha256 {
   static constexpr std::size_t kDigestSize = Sha256::kDigestSize;
   using Digest = Sha256::Digest;
 
-  static Digest mac(std::span<const std::uint8_t> key,
-                    std::span<const std::uint8_t> message);
+  /// A key with its pads absorbed: the SHA-256 states after the ipad and
+  /// the opad block. A short message then costs two compressions instead of
+  /// four, so a key MAC'd many times is worth keeping in this form.
+  class Keyed {
+   public:
+    explicit Keyed(std::span<const std::uint8_t> key);
+    explicit Keyed(const Key& key)
+        : Keyed(std::span<const std::uint8_t>(key.data(), key.size())) {}
 
+    /// HMAC(key, prefix || message), streamed without joining the two.
+    Digest mac(std::span<const std::uint8_t> prefix,
+               std::span<const std::uint8_t> message) const;
+    Digest mac(std::span<const std::uint8_t> message) const {
+      return mac({}, message);
+    }
+
+   private:
+    Sha256 inner_;
+    Sha256 outer_;
+  };
+
+  static Digest mac(std::span<const std::uint8_t> key,
+                    std::span<const std::uint8_t> message) {
+    return Keyed(key).mac(message);
+  }
   static Digest mac(const Key& key, std::span<const std::uint8_t> message) {
-    return mac(std::span<const std::uint8_t>(key.data(), key.size()), message);
+    return Keyed(key).mac(message);
   }
 };
 
@@ -34,12 +56,21 @@ using PacketMac = std::array<std::uint8_t, kPacketMacSize>;
 /// Computes the truncated packet MAC over `message`, binding the freshness
 /// counter `counter` into the MAC'd data as SecMLR specifies:
 /// MAC(K, C | message).
-PacketMac packetMac(const Key& key, std::uint64_t counter,
+PacketMac packetMac(const HmacSha256::Keyed& key, std::uint64_t counter,
                     std::span<const std::uint8_t> message);
+inline PacketMac packetMac(const Key& key, std::uint64_t counter,
+                           std::span<const std::uint8_t> message) {
+  return packetMac(HmacSha256::Keyed(key), counter, message);
+}
 
 /// Constant-time verification of a truncated packet MAC.
-bool verifyPacketMac(const Key& key, std::uint64_t counter,
+bool verifyPacketMac(const HmacSha256::Keyed& key, std::uint64_t counter,
                      std::span<const std::uint8_t> message,
                      const PacketMac& tag);
+inline bool verifyPacketMac(const Key& key, std::uint64_t counter,
+                            std::span<const std::uint8_t> message,
+                            const PacketMac& tag) {
+  return verifyPacketMac(HmacSha256::Keyed(key), counter, message, tag);
+}
 
 }  // namespace wmsn::crypto

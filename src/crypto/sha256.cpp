@@ -80,6 +80,7 @@ void Sha256::processBlock(const std::uint8_t* block) {
 
 void Sha256::update(std::span<const std::uint8_t> data) {
   WMSN_REQUIRE_MSG(!finished_, "Sha256 reused after finish()");
+  if (data.empty()) return;  // an empty span's data() may be null
   totalBits_ += static_cast<std::uint64_t>(data.size()) * 8;
   std::size_t offset = 0;
   if (bufferLen_ > 0) {

@@ -1,6 +1,7 @@
 #include "crypto/tesla.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -38,8 +39,10 @@ const Key& TeslaChain::key(std::size_t interval) const {
   return keys_[interval];
 }
 
-TeslaBroadcaster::TeslaBroadcaster(const Key& seed, TeslaParams params)
-    : chain_(seed, params.chainLength), params_(params) {
+TeslaBroadcaster::TeslaBroadcaster(std::shared_ptr<const TeslaChain> chain,
+                                   TeslaParams params)
+    : chain_(std::move(chain)), params_(params) {
+  WMSN_REQUIRE(chain_ != nullptr);
   WMSN_REQUIRE(params.intervalDuration.us > 0);
   WMSN_REQUIRE(params.disclosureDelay >= 1);
 }
@@ -56,7 +59,7 @@ TeslaAuthenticatedMessage TeslaBroadcaster::sign(const Bytes& payload,
   // Interval 0's key is the commitment itself (public), so usable intervals
   // start at 1.
   WMSN_REQUIRE_MSG(interval >= 1, "TESLA interval 0 key is public");
-  const Key mk = TeslaChain::macKey(chain_.key(interval));
+  const Key mk = TeslaChain::macKey(chain_->key(interval));
   TeslaAuthenticatedMessage msg;
   msg.payload = payload;
   msg.interval = interval;
@@ -70,7 +73,7 @@ std::optional<std::pair<std::uint32_t, Key>> TeslaBroadcaster::disclosableKey(
   if (interval < params_.disclosureDelay) return std::nullopt;
   const std::uint32_t disclosed = interval - params_.disclosureDelay;
   if (disclosed < 1) return std::nullopt;
-  return std::make_pair(disclosed, chain_.key(disclosed));
+  return std::make_pair(disclosed, chain_->key(disclosed));
 }
 
 TeslaReceiver::TeslaReceiver(const Key& commitment, TeslaParams params)

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -55,9 +56,16 @@ struct TeslaAuthenticatedMessage {
 
 class TeslaBroadcaster {
  public:
-  TeslaBroadcaster(const Key& seed, TeslaParams params);
+  TeslaBroadcaster(const Key& seed, TeslaParams params)
+      : TeslaBroadcaster(
+            std::make_shared<const TeslaChain>(seed, params.chainLength),
+            params) {}
+  /// Signs with an already built chain, shared with whoever else needs it
+  /// (SecMLR's keyring hands receivers the same chain's commitment).
+  TeslaBroadcaster(std::shared_ptr<const TeslaChain> chain,
+                   TeslaParams params);
 
-  const Key& commitment() const { return chain_.commitment(); }
+  const Key& commitment() const { return chain_->commitment(); }
   const TeslaParams& params() const { return params_; }
 
   /// Which interval a timestamp falls into. Requires now >= startTime.
@@ -74,11 +82,11 @@ class TeslaBroadcaster {
   /// Direct chain access — the broadcaster IS the secret holder; callers
   /// use this to publish K_i once interval i+d begins.
   const Key& chainKey(std::size_t interval) const {
-    return chain_.key(interval);
+    return chain_->key(interval);
   }
 
  private:
-  TeslaChain chain_;
+  std::shared_ptr<const TeslaChain> chain_;
   TeslaParams params_;
 };
 

@@ -41,13 +41,13 @@ void CsmaMac::send(Packet packet) {
     serve(std::move(packet));
     return;
   }
-  if (waiting_.size() >= queue_.capacity) {
+  if (depth_ >= queue_.capacity) {
     ++queueDrops_;
     if (stats_) stats_->onQueueDrop(self_);
     // The victim is the newcomer under drop-tail, the stalest waiting frame
     // under drop-oldest.
     const Packet& victim =
-        queue_.policy == QueuePolicy::kDropTail ? packet : waiting_.front();
+        queue_.policy == QueuePolicy::kDropTail ? packet : ring_[head_];
     if (victim.kind == PacketKind::kData)
       WMSN_TRACE(tracer_, obs::TraceSpanKind::kDrop, simulator_.now().us,
                  victim.uid, self_, victim.hopDst,
@@ -56,21 +56,41 @@ void CsmaMac::send(Packet packet) {
     if (queue_.policy == QueuePolicy::kDropTail) return;
     // Drop-oldest: the stalest waiting frame makes room for the newcomer
     // (sensing data ages fast; fresh readings matter more).
-    waiting_.pop_front();
-    waiting_.push_back(std::move(packet));
+    popWaiting();
+    pushWaiting(std::move(packet));
     WMSN_INVARIANT_MSG(
-        inv::queueWithinCapacity(waiting_.size(), queue_.capacity),
+        inv::queueWithinCapacity(depth_, queue_.capacity),
         "finite MAC transmit queue depth never exceeds its capacity");
     return;  // depth unchanged — no integral update needed
   }
   noteDepthChange();
-  waiting_.push_back(std::move(packet));
-  peakDepth_ = std::max(peakDepth_, waiting_.size());
+  pushWaiting(std::move(packet));
+  peakDepth_ = std::max(peakDepth_, depth_);
   WMSN_INVARIANT_MSG(
-      inv::queueWithinCapacity(waiting_.size(), queue_.capacity) &&
+      inv::queueWithinCapacity(depth_, queue_.capacity) &&
           inv::queueWithinCapacity(peakDepth_, queue_.capacity),
       "finite MAC transmit queue depth never exceeds its capacity");
-  if (stats_) stats_->onQueueDepth(self_, waiting_.size());
+  if (stats_) stats_->onQueueDepth(self_, depth_);
+}
+
+void CsmaMac::pushWaiting(Packet packet) {
+  if (depth_ == ring_.size()) {
+    // Full: unwrap into FIFO order, then double.
+    std::rotate(ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+    ring_.resize(std::max<std::size_t>(4, ring_.size() * 2));
+  }
+  ring_[(head_ + depth_) % ring_.size()] = std::move(packet);
+  ++depth_;
+}
+
+Packet CsmaMac::popWaiting() {
+  Packet front = std::move(ring_[head_]);
+  head_ = (head_ + 1) % ring_.size();
+  --depth_;
+  return front;
 }
 
 void CsmaMac::serve(Packet packet) {
@@ -124,25 +144,23 @@ void CsmaMac::attempt(Packet packet, std::uint32_t tries) {
 }
 
 void CsmaMac::serveNext() {
-  if (waiting_.empty()) {
+  if (depth_ == 0) {
     busy_ = false;
     return;
   }
   noteDepthChange();
-  Packet next = std::move(waiting_.front());
-  waiting_.pop_front();
-  serve(std::move(next));
+  serve(popWaiting());
 }
 
 void CsmaMac::noteDepthChange() {
   const sim::Time now = simulator_.now();
-  depthIntegral_ += static_cast<double>(waiting_.size()) *
+  depthIntegral_ += static_cast<double>(depth_) *
                     (now - lastDepthChange_).seconds();
   lastDepthChange_ = now;
 }
 
 double CsmaMac::queueDepthIntegral(sim::Time now) const {
-  return depthIntegral_ + static_cast<double>(waiting_.size()) *
+  return depthIntegral_ + static_cast<double>(depth_) *
                               (now - lastDepthChange_).seconds();
 }
 

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "net/medium.hpp"
 #include "net/metrics.hpp"
@@ -98,6 +98,8 @@ class CsmaMac final : public Mac {
   void serve(Packet packet);
   void serveNext();
   void noteDepthChange();
+  void pushWaiting(Packet packet);
+  Packet popWaiting();
 
   Medium& medium_;
   sim::Simulator& simulator_;
@@ -108,7 +110,12 @@ class CsmaMac final : public Mac {
   TrafficStats* stats_;
   obs::PacketTracer* tracer_;
 
-  std::deque<Packet> waiting_;
+  // Frames waiting behind the one in service: a FIFO ring of depth_ frames
+  // starting at ring_[head_]. It grows on demand, so a MAC that never
+  // queues allocates nothing.
+  std::vector<Packet> ring_;
+  std::size_t head_ = 0;
+  std::size_t depth_ = 0;
   bool busy_ = false;
   std::uint64_t drops_ = 0;
   std::uint64_t queueDrops_ = 0;

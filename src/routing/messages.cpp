@@ -1,6 +1,6 @@
 #include "routing/messages.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "util/require.hpp"
 
@@ -47,9 +47,10 @@ Path decodePath(ByteReader& r) {
 }
 
 bool pathIsSimple(const Path& path) {
-  std::unordered_set<std::uint16_t> seen;
-  for (std::uint16_t hop : path)
-    if (!seen.insert(hop).second) return false;
+  // Paths are a few dozen hops at most (an encoded path holds <= 255), so a
+  // quadratic scan is cheap and, unlike a hash set, allocates nothing.
+  for (auto hop = path.begin(); hop != path.end(); ++hop)
+    if (std::find(path.begin(), hop, *hop) != hop) return false;
   return true;
 }
 
@@ -278,6 +279,16 @@ Bytes SecRreqMsg::encode() const {
   encodePath(w, path);
   writeMac(w, mac);
   return w.take();
+}
+
+std::optional<SecRreqMsg::Id> SecRreqMsg::peekId(const Bytes& payload) {
+  if (payload.size() < 8) return std::nullopt;
+  ByteReader r(payload);
+  Id id;
+  id.source = r.u16();
+  id.gateway = r.u16();
+  id.reqId = r.u32();
+  return id;
 }
 
 SecRreqMsg SecRreqMsg::decode(const Bytes& payload) {

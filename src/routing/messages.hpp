@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "crypto/hmac.hpp"
@@ -175,6 +176,16 @@ struct SecRreqMsg {
   static SecRreqMsg decode(const Bytes& payload);
   /// The bytes covered by the MAC (everything except the mutable path).
   Bytes macInput() const;
+
+  /// The query's identity, the first fields on the wire.
+  struct Id {
+    std::uint16_t source = 0;
+    std::uint16_t gateway = 0;
+    std::uint32_t reqId = 0;
+  };
+  /// Reads the Id without decoding the rest of the payload; nullopt when
+  /// the payload is too short to hold it.
+  static std::optional<Id> peekId(const Bytes& payload);
 };
 
 /// Encrypted routing response: {res}_{Kij,C}, path_ij, MAC.

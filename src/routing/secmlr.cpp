@@ -1,6 +1,7 @@
 #include "routing/secmlr.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "util/invariants.hpp"
@@ -35,25 +36,65 @@ constexpr std::size_t kMaxBufferedMovesPerInterval = 32;
 
 }  // namespace
 
+SecMlrKeyring::SecMlrKeyring(SecMlrConfig config)
+    : config_(config), keystore_(crypto::KeyStore::fromSeed(config.keySeed)) {}
+
+const std::shared_ptr<const crypto::TeslaChain>& SecMlrKeyring::teslaChain(
+    net::NodeId gateway) {
+  auto& chain = chains_[gateway];
+  if (!chain)
+    chain = std::make_shared<const crypto::TeslaChain>(
+        keystore_.broadcastSeedKey(gateway), config_.tesla.chainLength);
+  return chain;
+}
+
+const SecMlrKeyring::PairKey& SecMlrKeyring::pairKey(net::NodeId sensor,
+                                                      net::NodeId gateway) {
+  const std::uint64_t id = static_cast<std::uint64_t>(sensor) << 32 | gateway;
+  auto it = pairKeys_.find(id);
+  if (it == pairKeys_.end()) {
+    const crypto::Key key = keystore_.pairwiseKey(sensor, gateway);
+    it = pairKeys_.emplace(id, PairKey{key, crypto::HmacSha256::Keyed(key)})
+             .first;
+  }
+  return it->second;
+}
+
+const crypto::HmacSha256::Keyed& SecMlrKeyring::teslaMacKey(
+    const crypto::Key& chainKey) {
+  auto it = teslaMacKeys_.find(chainKey);
+  if (it == teslaMacKeys_.end())
+    it = teslaMacKeys_
+             .emplace(chainKey, crypto::HmacSha256::Keyed(
+                                    crypto::TeslaChain::macKey(chainKey)))
+             .first;
+  return it->second;
+}
+
+const crypto::Key& SecMlrKeyring::walk(const crypto::Key& key,
+                                       std::uint32_t steps) {
+  auto [it, fresh] = walks_.try_emplace({key, steps}, key);
+  if (fresh)
+    for (std::uint32_t i = 0; i < steps; ++i)
+      it->second = crypto::TeslaChain::step(it->second);
+  return it->second;
+}
+
 SecMlrRouting::SecMlrRouting(net::SensorNetwork& network, net::NodeId self,
                              const NetworkKnowledge& knowledge,
-                             SecMlrConfig config, MlrParams mlrParams)
+                             std::shared_ptr<SecMlrKeyring> keyring,
+                             MlrParams mlrParams)
     : MlrRouting(network, self, knowledge, mlrParams),
-      config_(config),
-      keystore_(crypto::KeyStore::fromSeed(config.keySeed)) {}
+      keyring_(std::move(keyring)),
+      config_(keyring_->config()) {}
 
 void SecMlrRouting::start() {
-  if (isGateway())
-    broadcaster_.emplace(keystore_.broadcastSeedKey(self()), config_.tesla);
   // Deployment-time bootstrap: every node (gateways relay floods too) is
   // flashed with each gateway's TESLA commitment K_0 (SPINS assumption).
   for (net::NodeId g : knowledge().gatewayIds) {
     if (g == self()) continue;
-    crypto::TeslaChain chain(keystore_.broadcastSeedKey(g),
-                             config_.tesla.chainLength);
     TeslaState state;
-    state.lastVerifiedKey = chain.commitment();
-    state.verifiedInterval = 0;
+    state.gateway = g;
     tesla_[static_cast<std::uint16_t>(g)] = std::move(state);
   }
 }
@@ -73,11 +114,6 @@ void SecMlrRouting::onTopologyChanged() {
   moveReflooded_.clear();
 }
 
-crypto::Key SecMlrRouting::pairKey(std::uint16_t sensor,
-                                   std::uint16_t gateway) const {
-  return keystore_.pairwiseKey(sensor, gateway);
-}
-
 void SecMlrRouting::chargeCrypto(std::size_t bytes) {
   network().chargeCrypto(self(), bytes);
 }
@@ -94,8 +130,7 @@ bool SecMlrRouting::hasSessionTo(net::NodeId gateway) const {
 void SecMlrRouting::announceMove(std::uint16_t newPlace,
                                  std::uint16_t prevPlace,
                                  std::uint32_t round) {
-  WMSN_REQUIRE_MSG(isGateway() && broadcaster_.has_value(),
-                   "announceMove is gateway-side");
+  WMSN_REQUIRE_MSG(isGateway(), "announceMove is gateway-side");
   myPlace_ = newPlace;
   if (prevPlace != kNoPlace) occupiedBy_.erase(prevPlace);
   occupiedBy_[newPlace] = static_cast<std::uint16_t>(self());
@@ -121,6 +156,8 @@ void SecMlrRouting::announceMove(std::uint16_t newPlace,
   move.hopCount = 0;  // flood metadata lives in SecMoveMsg, not the payload
   const Bytes payload = move.encode();
 
+  if (!broadcaster_)
+    broadcaster_.emplace(keyring_->teslaChain(self()), config_.tesla);
   const auto signedMsg = broadcaster_->sign(payload, now());
   chargeCrypto(payload.size() + crypto::kPacketMacSize);
 
@@ -220,23 +257,31 @@ void SecMlrRouting::handleKeyDisclose(const net::Packet& packet) {
         msg.interval - state.verifiedInterval <=
             config_.tesla.chainLength) {
       // Walk the disclosed key back to the last verified chain element.
-      crypto::Key walked = msg.key;
       const std::uint32_t steps = msg.interval - state.verifiedInterval;
-      for (std::uint32_t i = 0; i < steps; ++i)
-        walked = crypto::TeslaChain::step(walked);
+      const crypto::Key& walked = keyring_->walk(msg.key, steps);
       chargeCrypto(static_cast<std::size_t>(steps) * sizeof(crypto::Key));
+      const crypto::Key& lastVerified =
+          state.verifiedInterval == 0
+              ? keyring_->teslaChain(state.gateway)->commitment()
+              : state.lastVerifiedKey;
 
-      if (constantTimeEqual(
-              std::span<const std::uint8_t>(walked.data(), walked.size()),
-              std::span<const std::uint8_t>(state.lastVerifiedKey.data(),
-                                            state.lastVerifiedKey.size()))) {
-        const crypto::Key mk = crypto::TeslaChain::macKey(msg.key);
+      if (constantTimeEqual(walked, lastVerified)) {
+        const crypto::HmacSha256::Keyed& mk = keyring_->teslaMacKey(msg.key);
         auto bucket = state.pending.find(msg.interval);
         if (bucket != state.pending.end()) {
-          for (const BufferedMove& buf : bucket->second) {
+          // Copies of one announcement carry one payload: its tag is
+          // computed once, and every copy is still charged.
+          const std::vector<BufferedMove>& copies = bucket->second;
+          std::array<crypto::PacketMac, kMaxBufferedMovesPerInterval> expected;
+          for (std::size_t i = 0; i < copies.size(); ++i) {
+            const BufferedMove& buf = copies[i];
             chargeCrypto(buf.teslaPayload.size());
-            if (!crypto::verifyPacketMac(mk, msg.interval, buf.teslaPayload,
-                                         buf.mac)) {
+            std::size_t same = 0;
+            while (copies[same].teslaPayload != buf.teslaPayload) ++same;
+            expected[i] = same < i ? expected[same]
+                                   : crypto::packetMac(mk, msg.interval,
+                                                       buf.teslaPayload);
+            if (!constantTimeEqual(expected[i], buf.mac)) {
               ++rejectedTesla_;  // forged announcement dies here
               continue;
             }
@@ -362,11 +407,12 @@ void SecMlrRouting::startQuery() {
     msg.gateway = gw;
     msg.reqId = reqId_;
     msg.counter = counterTo_[gw].next();
-    const crypto::Key key = pairKey(msg.source, gw);
-    msg.encReq = crypto::SpeckCtr(key).encrypt(msg.counter, plainReq());
+    const auto& key = keyring_->pairKey(msg.source, gw);
+    msg.encReq = crypto::SpeckCtr(key.key).encrypt(msg.counter, plainReq());
     msg.path.push_back(msg.source);
-    msg.mac = crypto::packetMac(key, msg.counter, msg.macInput());
-    chargeCrypto(msg.macInput().size() + msg.encReq.size());
+    const Bytes macInput = msg.macInput();
+    msg.mac = crypto::packetMac(key.hmac, msg.counter, macInput);
+    chargeCrypto(macInput.size() + msg.encReq.size());
 
     seenSecRreq_.insert(rreqKey(msg.source, gw, reqId_));
     sendBroadcast(makePacket(net::PacketKind::kRreq, net::kBroadcastId,
@@ -415,6 +461,16 @@ void SecMlrRouting::finishQuery() {
 
 void SecMlrRouting::handleSecRreq(const net::Packet& packet,
                                   net::NodeId /*from*/) {
+  // A relay drops a copy of a query it has already forwarded before
+  // decoding it. Every check ahead of the seenSecRreq_ insert below returns
+  // without a side effect, so a seen (source, gateway, reqId) ends in a
+  // return either way. Gateways never insert: they collect every copy.
+  if (!isGateway()) {
+    const auto id = SecRreqMsg::peekId(packet.payload);
+    if (id && seenSecRreq_.contains(rreqKey(id->source, id->gateway,
+                                            id->reqId)))
+      return;
+  }
   SecRreqMsg msg = SecRreqMsg::decode(packet.payload);
   if (msg.source == self()) return;
   if (msg.path.empty() || msg.path.front() != msg.source) return;
@@ -426,9 +482,10 @@ void SecMlrRouting::handleSecRreq(const net::Packet& packet,
   if (isGateway() && msg.gateway == self()) {
     // §6.2.2: verify origin authenticity and freshness, then collect path
     // copies for a timeout before answering.
-    const crypto::Key key = pairKey(msg.source, msg.gateway);
-    chargeCrypto(msg.macInput().size());
-    if (!crypto::verifyPacketMac(key, msg.counter, msg.macInput(), msg.mac)) {
+    const Bytes macInput = msg.macInput();
+    chargeCrypto(macInput.size());
+    const auto& key = keyring_->pairKey(msg.source, msg.gateway);
+    if (!crypto::verifyPacketMac(key.hmac, msg.counter, macInput, msg.mac)) {
       ++rejectedMacs_;
       return;
     }
@@ -485,13 +542,14 @@ void SecMlrRouting::replyToQuery(std::uint16_t source, std::uint32_t reqId) {
   res.place = myPlace_;
   res.reqId = reqId;
   res.counter = toSensorCounter_[source].next();
-  const crypto::Key key = pairKey(source, res.gateway);
-  res.encRes = crypto::SpeckCtr(key).encrypt(res.counter, plainRes());
+  const auto& key = keyring_->pairKey(source, res.gateway);
+  res.encRes = crypto::SpeckCtr(key.key).encrypt(res.counter, plainRes());
   res.path = *best;
   res.path.push_back(res.gateway);
   res.cursor = static_cast<std::uint16_t>(res.path.size() - 2);
-  res.mac = crypto::packetMac(key, res.counter, res.macInput());
-  chargeCrypto(res.macInput().size() + res.encRes.size());
+  const Bytes macInput = res.macInput();
+  res.mac = crypto::packetMac(key.hmac, res.counter, macInput);
+  chargeCrypto(macInput.size() + res.encRes.size());
 
   sendUnicast(res.path[res.cursor],
               makePacket(net::PacketKind::kRres, res.path[res.cursor],
@@ -508,9 +566,10 @@ void SecMlrRouting::handleSecRres(const net::Packet& packet,
   if (msg.cursor == 0) {
     // Back at the source: authenticate the gateway's answer.
     if (msg.source != self()) return;
-    const crypto::Key key = pairKey(msg.source, msg.gateway);
-    chargeCrypto(msg.macInput().size());
-    if (!crypto::verifyPacketMac(key, msg.counter, msg.macInput(), msg.mac)) {
+    const Bytes macInput = msg.macInput();
+    chargeCrypto(macInput.size());
+    const auto& key = keyring_->pairKey(msg.source, msg.gateway);
+    if (!crypto::verifyPacketMac(key.hmac, msg.counter, macInput, msg.mac)) {
       ++rejectedMacs_;
       return;
     }
@@ -563,10 +622,11 @@ void SecMlrRouting::sendSecData(std::uint64_t uid, Bytes reading,
   msg.immediateReceiver = static_cast<std::uint16_t>(it->second.nextHop);
   msg.dataSeq = ++dataSeq_;
   msg.counter = counterTo_[gateway].next();
-  const crypto::Key key = pairKey(msg.source, gateway);
-  msg.encData = crypto::SpeckCtr(key).encrypt(msg.counter, reading);
-  msg.mac = crypto::packetMac(key, msg.counter, msg.macInput());
-  chargeCrypto(msg.macInput().size() + reading.size());
+  const auto& key = keyring_->pairKey(msg.source, gateway);
+  msg.encData = crypto::SpeckCtr(key.key).encrypt(msg.counter, reading);
+  const Bytes macInput = msg.macInput();
+  msg.mac = crypto::packetMac(key.hmac, msg.counter, macInput);
+  chargeCrypto(macInput.size() + reading.size());
 
   net::Packet pkt = makePacket(net::PacketKind::kData, it->second.nextHop,
                                msg.encode());
@@ -583,9 +643,10 @@ void SecMlrRouting::handleSecData(const net::Packet& packet,
 
   if (isGateway()) {
     if (msg.gateway != self()) return;
-    const crypto::Key key = pairKey(msg.source, msg.gateway);
-    chargeCrypto(msg.macInput().size() + msg.encData.size());
-    if (!crypto::verifyPacketMac(key, msg.counter, msg.macInput(), msg.mac)) {
+    const auto& key = keyring_->pairKey(msg.source, msg.gateway);
+    const Bytes macInput = msg.macInput();
+    chargeCrypto(macInput.size() + msg.encData.size());
+    if (!crypto::verifyPacketMac(key.hmac, msg.counter, macInput, msg.mac)) {
       ++rejectedMacs_;
       WMSN_TRACE(network().tracer(), obs::TraceSpanKind::kReject, now().us,
                  packet.uid, static_cast<std::uint32_t>(self()),
@@ -600,7 +661,7 @@ void SecMlrRouting::handleSecData(const net::Packet& packet,
       return;
     }
     const Bytes reading =
-        crypto::SpeckCtr(key).decrypt(msg.counter, msg.encData);
+        crypto::SpeckCtr(key.key).decrypt(msg.counter, msg.encData);
     (void)reading;  // content consumed by the application layer
     reportDelivered(packet.uid, msg.source, packet.hops + 1u);
     return;
@@ -634,9 +695,10 @@ std::uint32_t SecMlrRouting::sendCommand(net::NodeId target, Bytes body) {
   WMSN_REQUIRE_MSG(isGateway(), "commands originate at gateways");
   const auto targetId = static_cast<std::uint16_t>(target);
   const std::uint64_t counter = toSensorCounter_[targetId].next();
-  const crypto::Key key = pairKey(targetId, static_cast<std::uint16_t>(self()));
-  Bytes enc = crypto::SpeckCtr(key).encrypt(counter, body);
-  const crypto::PacketMac mac = crypto::packetMac(key, counter, enc);
+  const auto& key =
+      keyring_->pairKey(targetId, static_cast<std::uint16_t>(self()));
+  Bytes enc = crypto::SpeckCtr(key.key).encrypt(counter, body);
+  const crypto::PacketMac mac = crypto::packetMac(key.hmac, counter, enc);
   chargeCrypto(body.size() + enc.size());
 
   ByteWriter sealed;
@@ -660,10 +722,10 @@ void SecMlrRouting::handleCommand(const net::Packet& packet) {
     crypto::PacketMac mac{};
     std::copy(macRaw.begin(), macRaw.end(), mac.begin());
 
-    const crypto::Key pk =
-        pairKey(static_cast<std::uint16_t>(self()), msg.gateway);
+    const auto& pk =
+        keyring_->pairKey(static_cast<std::uint16_t>(self()), msg.gateway);
     chargeCrypto(enc.size() * 2);
-    if (!crypto::verifyPacketMac(pk, counter, enc, mac)) {
+    if (!crypto::verifyPacketMac(pk.hmac, counter, enc, mac)) {
       ++rejectedMacs_;  // forged command — an attacker cannot steer sensors
       return;
     }
@@ -672,7 +734,7 @@ void SecMlrRouting::handleCommand(const net::Packet& packet) {
       return;
     }
     CommandMsg plain = msg;
-    plain.body = crypto::SpeckCtr(pk).decrypt(counter, enc);
+    plain.body = crypto::SpeckCtr(pk.key).decrypt(counter, enc);
     acceptCommand(plain);
     return;
   }

@@ -1,10 +1,12 @@
 #pragma once
 
-#include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "crypto/ctr.hpp"
 #include "crypto/keystore.hpp"
@@ -23,6 +25,52 @@ struct SecMlrConfig {
   std::uint32_t maxQueryRetries = 2;
   std::uint8_t maxPathLength = 32;
   std::size_t readingBytes = 24;
+};
+
+/// The key material of one SecMLR scenario, shared by all its nodes.
+///
+/// Every key a node holds is a pure function of the master key: K_ij, each
+/// gateway's TESLA chain, the chain's MAC keys, and the walk a receiver
+/// takes to check a disclosed key. Computed per node and per use, they
+/// would be derived hundreds of times each (every node would build every
+/// gateway's whole chain just to read K_0), so the keyring computes each
+/// once, on first use, and hands out the result. Nodes still charge their
+/// energy model for the crypto work exactly as if they had done it
+/// themselves. Construction derives the master key and nothing else, so
+/// scenario set-up does no other hashing. Not thread-safe: one scenario
+/// runs on one thread.
+class SecMlrKeyring {
+ public:
+  explicit SecMlrKeyring(SecMlrConfig config);
+
+  const SecMlrConfig& config() const { return config_; }
+
+  /// `gateway`'s TESLA chain: config().tesla.chainLength keys from its
+  /// KeyStore broadcast seed.
+  const std::shared_ptr<const crypto::TeslaChain>& teslaChain(
+      net::NodeId gateway);
+
+  /// K_ij with its HMAC pads absorbed.
+  struct PairKey {
+    crypto::Key key;
+    crypto::HmacSha256::Keyed hmac;
+  };
+  const PairKey& pairKey(net::NodeId sensor, net::NodeId gateway);
+
+  /// TeslaChain::macKey(chainKey) with its HMAC pads absorbed.
+  const crypto::HmacSha256::Keyed& teslaMacKey(const crypto::Key& chainKey);
+
+  /// `steps` applications of TeslaChain::step to `key`.
+  const crypto::Key& walk(const crypto::Key& key, std::uint32_t steps);
+
+ private:
+  SecMlrConfig config_;
+  crypto::KeyStore keystore_;
+  std::unordered_map<net::NodeId, std::shared_ptr<const crypto::TeslaChain>>
+      chains_;
+  std::unordered_map<std::uint64_t, PairKey> pairKeys_;  // sensor<<32 | gw
+  std::map<crypto::Key, crypto::HmacSha256::Keyed> teslaMacKeys_;
+  std::map<std::pair<crypto::Key, std::uint32_t>, crypto::Key> walks_;
 };
 
 /// SecMLR (§6.2) — the secure variant of MLR:
@@ -47,7 +95,8 @@ struct SecMlrConfig {
 class SecMlrRouting : public MlrRouting {
  public:
   SecMlrRouting(net::SensorNetwork& network, net::NodeId self,
-                const NetworkKnowledge& knowledge, SecMlrConfig config,
+                const NetworkKnowledge& knowledge,
+                std::shared_ptr<SecMlrKeyring> keyring,
                 MlrParams mlrParams = {});
 
   std::string name() const override { return "secmlr"; }
@@ -71,6 +120,8 @@ class SecMlrRouting : public MlrRouting {
   std::uint64_t queriesStarted() const { return queriesStarted_; }
   std::uint64_t queriesFailed() const { return queriesFailed_; }
   bool hasSessionTo(net::NodeId gateway) const;
+  /// The scenario's keyring; a captured node hands it to its insider.
+  const std::shared_ptr<SecMlrKeyring>& keyring() const { return keyring_; }
 
  protected:
   /// Failover eviction: a silent gateway loses not just its place entry but
@@ -79,7 +130,6 @@ class SecMlrRouting : public MlrRouting {
 
  private:
   // --- key / counter plumbing ---------------------------------------------
-  crypto::Key pairKey(std::uint16_t sensor, std::uint16_t gateway) const;
   void chargeCrypto(std::size_t bytes);
 
   // --- TESLA move notifications ------------------------------------------
@@ -90,6 +140,9 @@ class SecMlrRouting : public MlrRouting {
     net::NodeId from = net::kNoNode;
   };
   struct TeslaState {
+    net::NodeId gateway = net::kNoNode;
+    /// K_verifiedInterval. K_0 is the keyring's commitment, read at the
+    /// first disclosure rather than stored at set-up.
     crypto::Key lastVerifiedKey{};
     std::uint32_t verifiedInterval = 0;
     std::map<std::uint32_t, std::vector<BufferedMove>> pending;  // by interval
@@ -121,8 +174,8 @@ class SecMlrRouting : public MlrRouting {
   std::optional<std::uint16_t> pickSessionGateway();
   void invalidateSessionsTo(std::uint16_t gateway);
 
-  SecMlrConfig config_;
-  crypto::KeyStore keystore_;
+  std::shared_ptr<SecMlrKeyring> keyring_;
+  const SecMlrConfig& config_;
 
   // Sensor-side.
   std::map<std::uint16_t, crypto::CounterSource> counterTo_;    // per gateway
@@ -130,7 +183,7 @@ class SecMlrRouting : public MlrRouting {
   std::map<std::uint16_t, TeslaState> tesla_;                   // per gateway
   std::map<std::uint16_t, Session> sessions_;                   // per gateway
   std::unordered_map<std::uint64_t, ForwardEntry> forward_;  // (src<<16)|gw
-  std::deque<std::pair<std::uint64_t, Bytes>> dataQueue_;
+  std::vector<std::pair<std::uint64_t, Bytes>> dataQueue_;
   bool queryInFlight_ = false;
   std::uint32_t queryRetries_ = 0;
   std::uint32_t reqId_ = 0;

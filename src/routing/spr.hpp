@@ -1,10 +1,10 @@
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "routing/messages.hpp"
 #include "routing/protocol.hpp"
@@ -88,7 +88,7 @@ class SprRouting final : public RoutingProtocol {
   bool queryInFlight_ = false;
   std::uint32_t queryRetries_ = 0;
   std::vector<RresMsg> responses_;
-  std::deque<std::pair<std::uint64_t, Bytes>> dataQueue_;
+  std::vector<std::pair<std::uint64_t, Bytes>> dataQueue_;
   std::uint32_t seq_ = 0;
 
   // Forwarding state (per round).

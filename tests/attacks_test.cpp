@@ -150,7 +150,7 @@ TEST(Attacks, InstallerRejectsGatewayCompromise) {
   plan.kind = AttackKind::kSelectiveForward;
   plan.attackers = {scenario->network->gatewayIds().front()};
   EXPECT_THROW(installAttack(*scenario->stack, *scenario->network, plan,
-                             VictimProtocol::kMlr, {}, {}),
+                             VictimProtocol::kMlr, {}),
                PreconditionError);
 }
 

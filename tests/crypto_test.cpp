@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "crypto/ctr.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/keystore.hpp"
@@ -90,6 +93,55 @@ TEST(HmacSha256, Rfc4231Case6LongKey) {
       strBytes("Test Using Larger Than Block-Size Key - Hash Key First");
   EXPECT_EQ(toHex(HmacSha256::mac(key, data)),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacSha256, KeyedPathPassesRfc4231) {
+  struct Case {
+    Bytes key;
+    Bytes data;
+    const char* hex;
+  };
+  const Case cases[] = {
+      {Bytes(20, 0x0b), strBytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {strBytes("Jefe"), strBytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(131, 0xaa),
+       strBytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (const Case& c : cases) {
+    const HmacSha256::Keyed keyed(c.key);
+    EXPECT_EQ(toHex(keyed.mac(c.data)), c.hex);
+    // The prefix form streams prefix || message: any split gives the tag.
+    const std::span<const std::uint8_t> data(c.data);
+    for (std::size_t cut : {std::size_t{0}, std::size_t{3}, c.data.size()})
+      EXPECT_EQ(toHex(keyed.mac(data.first(cut), data.subspan(cut))), c.hex);
+  }
+}
+
+TEST(HmacSha256, ReusedKeyedContextMatchesFreshMac) {
+  Key key{};
+  for (std::size_t i = 0; i < key.size(); ++i)
+    key[i] = static_cast<std::uint8_t>(17 * i + 3);
+  const HmacSha256::Keyed keyed(key);
+  Bytes msg;
+  for (std::uint64_t n = 0; n < 1000; ++n) {
+    // Lengths 0..149 cross the one- and two-block padding boundaries.
+    msg.assign(n % 150, static_cast<std::uint8_t>(n * 31));
+    if (!msg.empty()) msg.front() = static_cast<std::uint8_t>(n);
+    ASSERT_EQ(keyed.mac(msg), HmacSha256::mac(key, msg)) << "message " << n;
+
+    // packetMac streams the counter; it must equal the HMAC of the joined
+    // bytes C || message, truncated.
+    ByteWriter joined;
+    joined.u64(n);
+    joined.raw(msg);
+    const auto full = HmacSha256::mac(key, joined.data());
+    PacketMac truncated;
+    std::copy_n(full.begin(), truncated.size(), truncated.begin());
+    ASSERT_EQ(packetMac(keyed, n, msg), truncated) << "message " << n;
+  }
 }
 
 TEST(PacketMac, VerifyAcceptsGenuineTag) {

@@ -147,6 +147,25 @@ TEST(Messages, PathIsSimple) {
   EXPECT_FALSE(pathIsSimple({1, 2, 1}));
 }
 
+TEST(Messages, PathIsSimpleAtLengthsZeroOneAndThirtyTwo) {
+  EXPECT_TRUE(pathIsSimple({}));
+  EXPECT_TRUE(pathIsSimple({7}));
+  Path path;
+  for (std::uint16_t hop = 0; hop < 32; ++hop) path.push_back(hop * 3);
+  EXPECT_TRUE(pathIsSimple(path));
+  // A duplicate at either end, against its neighbour or the far end.
+  Path p = path;
+  p.front() = p[1];
+  EXPECT_FALSE(pathIsSimple(p));
+  p = path;
+  p.back() = p[30];
+  EXPECT_FALSE(pathIsSimple(p));
+  p = path;
+  p.back() = p.front();
+  EXPECT_FALSE(pathIsSimple(p));
+  EXPECT_FALSE(pathIsSimple({5, 5}));
+}
+
 // --- shared test harness ---------------------------------------------------------
 
 /// A deterministic line topology: sensors every 20 m, gateways appended at

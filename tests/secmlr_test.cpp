@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "crypto/ctr.hpp"
 #include "crypto/keystore.hpp"
 #include "net/sensor_network.hpp"
 #include "routing/secmlr.hpp"
@@ -39,9 +40,9 @@ struct SecNet {
     knowledge.gatewayIds.push_back(network.addGateway({endX, 0.0}));
     stack = std::make_unique<ProtocolStack>(
         network, knowledge,
-        [this, mlrParams](net::SensorNetwork& n, net::NodeId id,
-                          const NetworkKnowledge& k) {
-          return std::make_unique<SecMlrRouting>(n, id, k, config, mlrParams);
+        [keyring = std::make_shared<SecMlrKeyring>(config), mlrParams](
+            net::SensorNetwork& n, net::NodeId id, const NetworkKnowledge& k) {
+          return std::make_unique<SecMlrRouting>(n, id, k, keyring, mlrParams);
         });
     stack->startAll();
   }
@@ -297,6 +298,158 @@ TEST(SecMlr, CryptoCostLandsOnGatewaysNotForwarders) {
   // so compare *data-path* cost via the source/gateway dominance.)
   EXPECT_GT(sourceCpu, 0.0);
   EXPECT_GT(gatewayCpu, forwarderCpu);
+}
+
+// --- relay semantics of secure queries ------------------------------------------
+
+std::uint64_t rreqFrames(const SecNet& net) {
+  const auto& byKind = net.network.stats().framesByKind();
+  const auto it = byKind.find(net::PacketKind::kRreq);
+  return it == byKind.end() ? 0 : it->second;
+}
+
+/// A query copy from `source` to `gateway` carrying `path`, with a fresh
+/// counter. The MAC is genuine only when `keyed` is set; relays never
+/// check it.
+net::Packet rreqCopy(const SecNet& net, std::uint16_t source,
+                     std::uint16_t gateway, std::uint32_t reqId, Path path,
+                     bool keyed = false) {
+  const std::uint64_t counter = 1000;
+  SecRreqMsg msg;
+  msg.source = source;
+  msg.gateway = gateway;
+  msg.reqId = reqId;
+  msg.counter = counter;
+  const crypto::Key key =
+      crypto::KeyStore::fromSeed(net.config.keySeed).pairwiseKey(source,
+                                                                 gateway);
+  msg.encReq = crypto::SpeckCtr(key).encrypt(counter, Bytes(8, 0));
+  msg.path = std::move(path);
+  if (keyed) msg.mac = crypto::packetMac(key, counter, msg.macInput());
+  net::Packet pkt;
+  pkt.kind = net::PacketKind::kRreq;
+  pkt.hopDst = net::kBroadcastId;
+  pkt.payload = msg.encode();
+  return pkt;
+}
+
+// Line 0-1-2-3 (sensors 20 m apart, radio 25 m): sensor 2 hears only 1 and
+// 3, so an injected copy from 1 reaches relay 2 and the source 0, and 2's
+// relay reaches 3.
+
+TEST(SecMlrRelay, NonSimpleFirstCopyDoesNotMarkTheQuerySeen) {
+  SecNet net(4);
+  const auto gw1 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[1]);
+  const std::uint64_t before = rreqFrames(net);
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 77, {0, 1, 0}));
+  net.run(0.5);
+  EXPECT_EQ(rreqFrames(net), before + 1) << "nobody relays a looping path";
+
+  // The valid copy that follows is relayed by 2, and 2's relay by 3.
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 77, {0, 1}));
+  net.run(0.5);
+  EXPECT_EQ(rreqFrames(net), before + 4);
+}
+
+TEST(SecMlrRelay, CopyAfterForwardingIsNotRebroadcast) {
+  SecNet net(4);
+  const auto gw1 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[1]);
+  const std::uint64_t before = rreqFrames(net);
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 78, {0, 1}));
+  net.run(0.5);
+  ASSERT_EQ(rreqFrames(net), before + 3);  // injected, 2's and 3's relays
+
+  // The same copy again, a different path through 3, and a looping one:
+  // each is heard by relay 2 (and 3 or 0), and nobody re-broadcasts.
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 78, {0, 1}));
+  net.run(0.5);
+  net.network.sendFrom(3, rreqCopy(net, 0, gw1, 78, {0, 3}));
+  net.run(0.5);
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 78, {0, 1, 0}));
+  net.run(0.5);
+  EXPECT_EQ(rreqFrames(net), before + 6);
+}
+
+TEST(SecMlrRelay, AddressedGatewayCollectsEveryCopy) {
+  SecNet net(4);
+  net.bootstrap();
+  const auto gw1 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[1]);
+  ASSERT_FALSE(net.secAt(2).hasSessionTo(gw1));
+
+  // Two copies of one genuine query from source 2 reach gateway 1 through
+  // sensor 3. The first claims a detour via 1, which is not 3's
+  // neighbour, so a response along it cannot arrive. Only if the gateway
+  // also collects the second, shorter copy does it answer along 3 → 2.
+  net.network.sendFrom(3, rreqCopy(net, 2, gw1, 79, {2, 1, 3}, true));
+  net.run(0.02);
+  net.network.sendFrom(3, rreqCopy(net, 2, gw1, 79, {2, 3}, true));
+  net.run(1.0);
+  EXPECT_EQ(net.secAt(gw1).rejectedMacs(), 0u);
+  EXPECT_TRUE(net.secAt(2).hasSessionTo(gw1));
+}
+
+// --- the shared keyring ------------------------------------------------------------
+
+TEST(SecMlrKeyring, MatchesDirectDerivationForEverySeedAndGateway) {
+  const Bytes msg = {'m', 'o', 'v', 'e', 0, 1, 2, 3};
+  for (std::uint64_t seed : {1ull, 0x5ecull, 0xc0ffeeull}) {
+    SecMlrConfig config = testConfig();
+    config.keySeed = seed;
+    config.tesla.chainLength = 40;
+    SecMlrKeyring ring(config);
+    const crypto::KeyStore direct = crypto::KeyStore::fromSeed(seed);
+
+    for (net::NodeId gw : {100u, 101u, 102u}) {
+      const crypto::TeslaChain chain(direct.broadcastSeedKey(gw), 40);
+      const auto& shared = ring.teslaChain(gw);
+      ASSERT_EQ(shared->length(), chain.length());
+      for (std::size_t i = 0; i < chain.length(); ++i)
+        EXPECT_EQ(shared->key(i), chain.key(i)) << "seed " << seed;
+      EXPECT_EQ(ring.teslaChain(gw).get(), shared.get()) << "built once";
+
+      for (net::NodeId sensor : {0u, 7u, 99u, 70000u}) {
+        const auto& pk = ring.pairKey(sensor, gw);
+        const crypto::Key key = direct.pairwiseKey(sensor, gw);
+        EXPECT_EQ(pk.key, key);
+        EXPECT_EQ(crypto::packetMac(pk.hmac, 9, msg),
+                  crypto::packetMac(key, 9, msg));
+      }
+      // Keyed by the full node id, not its low 16 bits.
+      EXPECT_NE(ring.pairKey(70000, gw).key,
+                ring.pairKey(70000 & 0xffff, gw).key);
+
+      for (std::size_t i : {1u, 5u, 39u})
+        EXPECT_EQ(crypto::packetMac(ring.teslaMacKey(chain.key(i)), i, msg),
+                  crypto::packetMac(crypto::TeslaChain::macKey(chain.key(i)),
+                                    i, msg));
+
+      // Walks back down the chain: memoised, longer and shorter than a
+      // memoised one, and the empty walk.
+      EXPECT_EQ(ring.walk(chain.key(20), 5), chain.key(15));
+      EXPECT_EQ(ring.walk(chain.key(20), 12), chain.key(8));
+      EXPECT_EQ(ring.walk(chain.key(20), 3), chain.key(17));
+      EXPECT_EQ(ring.walk(chain.key(20), 5), chain.key(15));
+      EXPECT_EQ(ring.walk(chain.key(20), 0), chain.key(20));
+    }
+
+    // A forged disclosed key walks to what the direct steps give, which is
+    // no chain key, and its MAC key is still TeslaChain::macKey's.
+    crypto::Key forged{};
+    forged.fill(0xee);
+    crypto::Key stepped = forged;
+    for (int i = 0; i < 7; ++i) stepped = crypto::TeslaChain::step(stepped);
+    EXPECT_EQ(ring.walk(forged, 7), stepped);
+    EXPECT_NE(ring.walk(forged, 7), ring.teslaChain(100)->key(0));
+    EXPECT_EQ(crypto::packetMac(ring.teslaMacKey(forged), 3, msg),
+              crypto::packetMac(crypto::TeslaChain::macKey(forged), 3, msg));
+  }
+}
+
+TEST(SecMlrKeyring, EveryNodeOfAStackSharesOne) {
+  SecNet net(3);
+  const SecMlrKeyring* ring = net.secAt(0).keyring().get();
+  for (net::NodeId id = 1; id < 5; ++id)
+    EXPECT_EQ(net.secAt(id).keyring().get(), ring);
 }
 
 TEST(SecMlr, ParamsValidateChainLongEnough) {

@@ -4,8 +4,10 @@
 #include <set>
 
 #include "core/wmsn.hpp"
+#include "net/mac.hpp"
 #include "net/radio.hpp"
 #include "net/sensor_network.hpp"
+#include "obs/perf_stats.hpp"
 #include "workload/workload.hpp"
 
 namespace wmsn {
@@ -215,6 +217,38 @@ TEST(MacQueue, LegacyZeroCapacityNeverDropsForSpace) {
   EXPECT_EQ(received.size(), 10u);
   EXPECT_EQ(fx.network->stats().queueDrops(), 0u);
   EXPECT_EQ(fx.network->node(fx.sensor).mac().peakQueueDepth(), 0u);
+}
+
+TEST(MacQueue, KeepsFifoOrderWhileTheRingGrowsAndWraps) {
+  QueueFixture fx({.capacity = 64, .policy = net::QueuePolicy::kDropTail});
+  std::vector<std::uint8_t> order;
+  fx.network->node(fx.gateway).setReceiveHandler(
+      [&](const net::Packet& p, net::NodeId) { order.push_back(p.payload[0]); });
+  // One send per millisecond, faster than the MAC serves them, so the queue
+  // grows while frames leave its head: the ring doubles with head_ != 0.
+  for (std::uint8_t k = 0; k < 40; ++k)
+    fx.simulator.schedule(sim::Time::milliseconds(k), [&fx, k] {
+      net::Packet p;
+      p.kind = net::PacketKind::kData;
+      p.origin = fx.sensor;
+      p.finalDst = fx.gateway;
+      p.hopDst = fx.gateway;
+      p.payload = Bytes(8, k);
+      fx.network->sendFrom(fx.sensor, std::move(p));
+    });
+  fx.simulator.run();
+  ASSERT_EQ(order.size(), 40u);
+  for (std::uint8_t k = 0; k < 40; ++k) EXPECT_EQ(order[k], k);
+  EXPECT_GT(fx.network->node(fx.sensor).mac().peakQueueDepth(), 8u);
+  EXPECT_EQ(fx.network->stats().queueDrops(), 0u);
+}
+
+TEST(MacQueue, ConstructionAllocatesNothing) {
+  QueueFixture fx({.capacity = 8, .policy = net::QueuePolicy::kDropOldest});
+  obs::AllocationScope allocations;
+  net::CsmaMac mac(fx.network->medium(), fx.simulator, fx.sensor, Rng(1), {},
+                   {.capacity = 8, .policy = net::QueuePolicy::kDropOldest});
+  EXPECT_EQ(allocations.count(), 0u);
 }
 
 // --- end-to-end workload runs -------------------------------------------------
