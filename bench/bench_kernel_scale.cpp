@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--max-nodes" && i + 1 < argc)
-      maxNodes = std::stoul(argv[++i]);
+      maxNodes = parseFlag<std::size_t>(arg, argv[++i]);
     else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--max-nodes <n>] [--csv <path>]\n"

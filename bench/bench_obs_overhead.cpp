@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   bool check = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--reps" && i + 1 < argc)
-      reps = static_cast<unsigned>(std::stoul(argv[++i]));
+      reps = parseFlag<unsigned>("--reps", argv[++i]);
     else if (std::string(argv[i]) == "--check")
       check = true;
   }

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--json" && i + 1 < argc) jsonPath = argv[++i];
     if (arg == "--seeds" && i + 1 < argc)
-      seeds = static_cast<unsigned>(std::stoul(argv[++i]));
+      seeds = parseFlag<unsigned>(arg, argv[++i]);
   }
   if (seeds == 0) seeds = 1;
 

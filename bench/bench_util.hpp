@@ -11,6 +11,7 @@
 
 #include "core/wmsn.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 
 namespace wmsn::bench {
 
@@ -26,7 +27,7 @@ inline BenchArgs parseArgs(int argc, char** argv) {
     if (arg == "--csv" && i + 1 < argc) {
       args.csvPath = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      args.threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      args.threads = parseFlag<unsigned>(arg, argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0]
                 << " [--csv <path>] [--threads <n>]\n";

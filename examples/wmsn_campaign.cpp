@@ -18,6 +18,7 @@
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace {
@@ -74,13 +75,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       opts.resume = true;
     } else if (arg == "--workers") {
-      opts.workers = static_cast<unsigned>(std::stoul(next()));
+      opts.workers = parseFlag<unsigned>(arg, next());
     } else if (arg == "--metrics-out") {
       opts.metricsOutPath = next();
     } else if (arg == "--worker-stats") {
       opts.workerStats = true;
     } else if (arg == "--stop-after") {
-      opts.stopAfter = std::stoul(next());
+      opts.stopAfter = parseFlag<std::size_t>(arg, next());
     } else if (arg == "--flight-recorder-dir") {
       opts.flightRecorderDir = next();
     } else if (arg == "--dry-run") {

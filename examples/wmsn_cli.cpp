@@ -7,45 +7,56 @@
 //   ./wmsn_cli --protocol mlr --sleep --lifetime
 //   ./wmsn_cli --list
 
-#include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "core/wmsn.hpp"
 #include "obs/trace_analyze.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
 using namespace wmsn;
 
-const std::map<std::string, core::ProtocolKind> kProtocols = {
-    {"flooding", core::ProtocolKind::kFlooding},
-    {"gossip", core::ProtocolKind::kGossip},
-    {"spin", core::ProtocolKind::kSpin},
-    {"diffusion", core::ProtocolKind::kDiffusion},
-    {"leach", core::ProtocolKind::kLeach},
-    {"pegasis", core::ProtocolKind::kPegasis},
-    {"teen", core::ProtocolKind::kTeen},
-    {"single-sink", core::ProtocolKind::kSingleSink},
-    {"spr", core::ProtocolKind::kSpr},
-    {"mlr", core::ProtocolKind::kMlr},
-    {"secmlr", core::ProtocolKind::kSecMlr},
+// Scenario flags are setting keys (core::applySetting): `--sensors 80` is
+// the setting `sensors = 80` and a switch such as `--static` is
+// `static = on`.
+const std::set<std::string> kSettingFlags = {
+    "protocol", "sensors",      "gateways",   "places", "area",
+    "range",    "rounds",       "packets",    "workload", "rate",
+    "queue",    "queue-policy", "deployment", "attack", "attackers",
+    "trace-sample"};
+const std::set<std::string> kSwitchFlags = {"static", "plan", "sleep",
+                                            "reliable", "lossy"};
+// The fault flags build tokens of the `fault` setting, applied once after
+// the loop. --fault-plan and the MTBF flags arm failover; --link-loss arms
+// it only when the loss is on (p > 0); the MTTR flags never do.
+struct FaultFlag {
+  const char* prefix;
+  bool armsFailover;
+};
+const std::map<std::string, FaultFlag> kFaultFlags = {
+    {"node-mtbf", {"smtbf:", true}},
+    {"node-mttr", {"smttr:", false}},
+    {"gateway-mtbf", {"gwmtbf:", true}},
+    {"gateway-mttr", {"gwmttr:", false}},
+    {"link-loss", {"loss:", false}},
 };
 
-const std::map<std::string, attacks::AttackKind> kAttacks = {
-    {"replay", attacks::AttackKind::kReplay},
-    {"spoof", attacks::AttackKind::kSpoofMove},
-    {"selective", attacks::AttackKind::kSelectiveForward},
-    {"sinkhole", attacks::AttackKind::kSinkhole},
-    {"hello-flood", attacks::AttackKind::kHelloFlood},
-    {"sybil", attacks::AttackKind::kSybil},
-    {"wormhole", attacks::AttackKind::kWormhole},
-    {"ack-spoof", attacks::AttackKind::kAckSpoof},
-};
+/// `names` sorted, without `none`: the --list spelling.
+std::string listNames(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  std::string out;
+  for (const std::string& name : names)
+    if (name != "none") out += " " + name;
+  return out;
+}
 
 void usage() {
   std::cout <<
@@ -63,7 +74,8 @@ void usage() {
       "  --repeat <k>          run k consecutive seeds, report each + mean\n"
       "  --threads <n>         worker threads for --repeat  (default: cores)\n"
       "  --workload <kind>     legacy|periodic|poisson|burst (default legacy)\n"
-      "  --rate <pps>          offered pkt/s/sensor (periodic/poisson)\n"
+      "  --rate <pps>          offered pkt/s/sensor (periodic/poisson), or\n"
+      "                        the burst background rate\n"
       "  --queue <cap>         finite MAC transmit queue capacity (0 = off)\n"
       "  --queue-policy <p>    drop-tail|drop-oldest        (default drop-tail)\n"
       "  --deployment <kind>   uniform|grid|clustered       (default uniform)\n"
@@ -161,216 +173,105 @@ int main(int argc, char** argv) {
   obs::TraceFormat traceFormat = obs::TraceFormat::kCsv;
   unsigned repeat = 1;
   unsigned threads = 0;
-  bool anyFaultFlag = false;
+  std::optional<std::string> faultPlan;  // --fault-plan; the last one wins
+  std::vector<std::string> faultTokens;  // the other fault flags, in order
+  bool armFailover = false;
   bool noFailover = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (arg == "--list") {
-      std::cout << "protocols:";
-      for (const auto& [name, kind] : kProtocols) std::cout << " " << name;
-      std::cout << "\nattacks:";
-      for (const auto& [name, kind] : kAttacks) std::cout << " " << name;
-      std::cout << "\n";
-      return 0;
-    } else if (arg == "--protocol") {
-      const std::string name = next();
-      const auto it = kProtocols.find(name);
-      if (it == kProtocols.end()) {
-        std::cerr << "unknown protocol: " << name << "\n";
+  std::string arg;  // the flag being read, named in error messages
+  try {
+    for (int i = 1; i < argc; ++i) {
+      arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          std::cerr << "missing value for " << arg << "\n";
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      const std::string key = arg.rfind("--", 0) == 0 ? arg.substr(2) : "";
+      if (arg == "--help" || arg == "-h") {
+        usage();
+        return 0;
+      } else if (arg == "--list") {
+        std::cout << "protocols:" << listNames(core::settingNames("protocol"))
+                  << "\nattacks:" << listNames(core::settingNames("attack"))
+                  << "\n";
+        return 0;
+      } else if (kSettingFlags.count(key)) {
+        core::applySetting(cfg, key, next());
+      } else if (kSwitchFlags.count(key)) {
+        core::applySetting(cfg, key, "on");
+      } else if (const auto fault = kFaultFlags.find(key);
+                 fault != kFaultFlags.end()) {
+        faultTokens.push_back(fault->second.prefix + next());
+        armFailover = armFailover || fault->second.armsFailover;
+      } else if (arg == "--fault-plan") {
+        faultPlan = next();
+        armFailover = true;
+      } else if (arg == "--seed") {
+        cfg.seed = parseFlag<std::uint64_t>(arg, next());
+      } else if (arg == "--repeat") {
+        repeat = parseFlag<unsigned>(arg, next());
+      } else if (arg == "--threads") {
+        threads = parseFlag<unsigned>(arg, next());
+      } else if (arg == "--no-failover") {
+        noFailover = true;
+      } else if (arg == "--svg") {
+        svgPath = next();
+      } else if (arg == "--trace") {
+        tracePath = next();
+      } else if (arg == "--trace-format" ||
+                 arg.rfind("--trace-format=", 0) == 0) {
+        traceFormat = obs::parseTraceFormat(
+            arg == "--trace-format"
+                ? next()
+                : arg.substr(std::strlen("--trace-format=")));
+      } else if (arg == "--trace-spans") {
+        traceSpansPath = next();
+        cfg.obs.traceSpans = true;
+      } else if (arg == "--trace-analyze") {
+        traceAnalyzePath = next();
+      } else if (arg == "--flight-recorder") {
+        obs::setFlightRecorderPath(next());
+      } else if (arg == "--metrics-out") {
+        metricsPath = next();
+        cfg.obs.metrics = true;
+      } else if (arg == "--timeseries-out") {
+        timeseriesPath = next();
+        cfg.obs.timeseries = true;
+      } else if (arg == "--perf-out") {
+        perfPath = next();
+        cfg.obs.perf = true;
+      } else if (arg == "--profile") {
+        cfg.obs.profile = true;
+      } else if (arg == "--lifetime") {
+        cfg.stopAtFirstDeath = true;
+        cfg.rounds = 1000;
+        cfg.energy.initialEnergyJ = 0.1;
+      } else {
+        std::cerr << "unknown option: " << arg << " (try --help)\n";
         return 2;
       }
-      cfg.protocol = it->second;
-    } else if (arg == "--attack") {
-      const std::string name = next();
-      const auto it = kAttacks.find(name);
-      if (it == kAttacks.end()) {
-        std::cerr << "unknown attack: " << name << "\n";
-        return 2;
-      }
-      cfg.attack.kind = it->second;
-    } else if (arg == "--deployment") {
-      const std::string name = next();
-      if (name == "uniform") cfg.deployment = core::DeploymentKind::kUniform;
-      else if (name == "grid") cfg.deployment = core::DeploymentKind::kGrid;
-      else if (name == "clustered")
-        cfg.deployment = core::DeploymentKind::kClustered;
-      else {
-        std::cerr << "unknown deployment: " << name << "\n";
-        return 2;
-      }
-    } else if (arg == "--sensors") {
-      cfg.sensorCount = std::stoul(next());
-    } else if (arg == "--gateways") {
-      cfg.gatewayCount = std::stoul(next());
-    } else if (arg == "--places") {
-      cfg.feasiblePlaceCount = std::stoul(next());
-    } else if (arg == "--area") {
-      cfg.width = cfg.height = std::stod(next());
-    } else if (arg == "--range") {
-      cfg.radioRange = std::stod(next());
-    } else if (arg == "--rounds") {
-      cfg.rounds = static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--packets") {
-      cfg.packetsPerSensorPerRound =
-          static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--seed") {
-      cfg.seed = std::stoull(next());
-    } else if (arg == "--repeat") {
-      repeat = static_cast<unsigned>(std::stoul(next()));
-    } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::stoul(next()));
-    } else if (arg == "--workload") {
-      const std::string name = next();
-      if (name == "legacy")
-        cfg.workload.kind = workload::WorkloadKind::kLegacyRounds;
-      else if (name == "periodic")
-        cfg.workload.kind = workload::WorkloadKind::kPeriodic;
-      else if (name == "poisson")
-        cfg.workload.kind = workload::WorkloadKind::kPoisson;
-      else if (name == "burst")
-        cfg.workload.kind = workload::WorkloadKind::kBurst;
-      else {
-        std::cerr << "unknown workload: " << name << "\n";
-        return 2;
-      }
-    } else if (arg == "--rate") {
-      cfg.workload.ratePerSensor = std::stod(next());
-    } else if (arg == "--queue") {
-      const long cap = std::stol(next());
-      if (cap < 0) {
-        std::cerr << "queue capacity must be >= 0\n";
-        return 2;
-      }
-      cfg.macQueue.capacity = static_cast<std::size_t>(cap);
-    } else if (arg == "--queue-policy") {
-      const std::string name = next();
-      if (name == "drop-tail")
-        cfg.macQueue.policy = net::QueuePolicy::kDropTail;
-      else if (name == "drop-oldest")
-        cfg.macQueue.policy = net::QueuePolicy::kDropOldest;
-      else {
-        std::cerr << "unknown queue policy: " << name << "\n";
-        return 2;
-      }
-    } else if (arg == "--attackers") {
-      cfg.attackerCount = std::stoul(next());
-    } else if (arg == "--fault-plan") {
-      try {
-        cfg.faults.events = fault::parseFaultPlan(next());
-      } catch (const std::exception& e) {
-        std::cerr << "bad --fault-plan: " << e.what() << "\n";
-        return 2;
-      }
-      anyFaultFlag = true;
-    } else if (arg == "--node-mtbf") {
-      cfg.faults.sensorMtbfRounds =
-          static_cast<std::uint32_t>(std::stoul(next()));
-      anyFaultFlag = true;
-    } else if (arg == "--node-mttr") {
-      cfg.faults.sensorMttrRounds =
-          static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--gateway-mtbf") {
-      cfg.faults.gatewayMtbfRounds =
-          static_cast<std::uint32_t>(std::stoul(next()));
-      anyFaultFlag = true;
-    } else if (arg == "--gateway-mttr") {
-      cfg.faults.gatewayMttrRounds =
-          static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--link-loss") {
-      const double p = std::stod(next());
-      if (p < 0.0 || p >= 1.0) {
-        std::cerr << "--link-loss expects a fraction in [0,1)\n";
-        return 2;
-      }
-      if (p > 0.0) {
-        // Solve the two-state chain for the requested steady-state loss,
-        // keeping the default burst length (1/pBadToGood frames).
-        cfg.faults.linkLoss.enabled = true;
-        cfg.faults.linkLoss.pGoodToBad =
-            cfg.faults.linkLoss.pBadToGood * p / (1.0 - p);
-        anyFaultFlag = true;
-      }
-    } else if (arg == "--no-failover") {
-      noFailover = true;
-    } else if (arg == "--static") {
-      cfg.gatewaysMove = false;
-    } else if (arg == "--plan") {
-      cfg.planGatewayPlacement = true;
-    } else if (arg == "--sleep") {
-      cfg.sleep.enabled = true;
-    } else if (arg == "--reliable") {
-      cfg.mlr.reliableForwarding = true;
-    } else if (arg == "--lossy") {
-      cfg.lossyRadio = true;
-    } else if (arg == "--svg") {
-      svgPath = next();
-    } else if (arg == "--trace") {
-      tracePath = next();
-    } else if (arg == "--trace-format" ||
-               arg.rfind("--trace-format=", 0) == 0) {
-      const std::string name = arg == "--trace-format"
-                                   ? next()
-                                   : arg.substr(std::strlen("--trace-format="));
-      try {
-        traceFormat = obs::parseTraceFormat(name);
-      } catch (const std::exception&) {
-        std::cerr << "unknown trace format: " << name << "\n";
-        return 2;
-      }
-    } else if (arg == "--trace-spans") {
-      traceSpansPath = next();
-      cfg.obs.traceSpans = true;
-    } else if (arg == "--trace-sample") {
-      const double f = std::stod(next());
-      if (f <= 0.0 || f > 1.0) {
-        std::cerr << "--trace-sample expects a fraction in (0,1]\n";
-        return 2;
-      }
-      cfg.obs.traceSamplePermille =
-          static_cast<std::uint32_t>(std::lround(f * 1000.0));
-    } else if (arg == "--trace-analyze") {
-      traceAnalyzePath = next();
-    } else if (arg == "--flight-recorder") {
-      obs::setFlightRecorderPath(next());
-    } else if (arg == "--metrics-out") {
-      metricsPath = next();
-      cfg.obs.metrics = true;
-    } else if (arg == "--timeseries-out") {
-      timeseriesPath = next();
-      cfg.obs.timeseries = true;
-    } else if (arg == "--perf-out") {
-      perfPath = next();
-      cfg.obs.perf = true;
-    } else if (arg == "--profile") {
-      cfg.obs.profile = true;
-    } else if (arg == "--lifetime") {
-      cfg.stopAtFirstDeath = true;
-      cfg.rounds = 1000;
-      cfg.energy.initialEnergyJ = 0.1;
-    } else {
-      std::cerr << "unknown option: " << arg << " (try --help)\n";
-      return 2;
     }
-  }
 
-  if (anyFaultFlag && !noFailover) {
-    // Fault runs get the hardened routing by default: MLR/SecMLR heartbeat
-    // failover and SPR discovery backoff. --no-failover ablates back to the
-    // legacy behaviour for comparison.
-    cfg.mlr.failover = true;
-    if (cfg.spr.retryBackoff.us == 0)
-      cfg.spr.retryBackoff = sim::Time::seconds(0.2);
+    if (faultPlan) faultTokens.push_back(*faultPlan);
+    if (!faultTokens.empty()) {
+      arg = "fault flags";
+      std::string value;
+      for (const std::string& token : faultTokens)
+        value += (value.empty() ? "" : ";") + token;
+      core::applySetting(cfg, "fault", value);
+      // Fault runs get the hardened routing by default: MLR/SecMLR
+      // heartbeat failover and SPR discovery backoff. --no-failover
+      // ablates back to the legacy behaviour for comparison.
+      if ((armFailover || cfg.faults.linkLoss.enabled) && !noFailover)
+        core::applySetting(cfg, "failover", "on");
+    }
+  } catch (const std::exception& e) {
+    // A bad setting or trace-format value: exit 2 naming the flag.
+    std::cerr << "bad " << arg << ": " << e.what() << "\n";
+    return 2;
   }
 
   if (!traceAnalyzePath.empty()) {

@@ -13,7 +13,8 @@
 #   analyze      scripts/wmsn_analyze.py determinism auditor: R1-R6
 #                ordering/RNG rules + absorbed lint rules + the audited
 #                suppression ledger, then its fixture self-test corpus
-#   docs         scripts/check_docs.sh CLI-flag/documentation drift
+#   docs         scripts/check_docs.sh CLI-flag/documentation drift, then
+#                scripts/check_cli_input.sh (bad numbers exit 2 by name)
 #   campaign     scripts/check_campaign.sh kill/resume/crash-containment
 #   perf         scripts/check_perf.sh perf-counter zero-perturbation
 #                (byte-identical stdout/metrics with counters armed) and
@@ -161,6 +162,8 @@ else
   # 7. Documentation drift (needs built CLIs; the werror tree has them).
   if [ -x "$cli" ] && [ -x "$campaign_cli" ]; then
     if docs_out="$(bash "$scriptdir/check_docs.sh" "$cli" "$repo" \
+                   "$campaign_cli" 2>&1 &&
+                   bash "$scriptdir/check_cli_input.sh" "$cli" \
                    "$campaign_cli" 2>&1)"; then
       note_gate docs PASS "$(echo "$docs_out" | tail -1)"
     else

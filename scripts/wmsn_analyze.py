@@ -23,8 +23,9 @@ Rule pack (see `--list-rules` and DESIGN.md "Correctness tooling"):
                           kernel rewrite will parallelize
   R6-macro-discipline     WMSN_TRACE / WMSN_PERF null-guard discipline;
                           side-effect-free WMSN_INVARIANT conditions
-  (plus the legacy wmsn-lint rules: float-equality, observer-contract,
-   include-guard, process-discipline, rangescan-discipline)
+  (plus the lint group: float-equality, observer-contract,
+   include-guard, process-discipline, rangescan-discipline,
+   number-parse-discipline)
 
 Suppressions for the determinism rules live ONLY in the committed,
 audited ledger tools/analyze/suppressions.toml — every entry needs a

@@ -9,6 +9,7 @@
 #include <deque>
 #include <string>
 
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::campaign {
@@ -58,7 +59,8 @@ void writeAll(int fd, const std::string& data) {
     const std::string line = buf.substr(0, nl);
     buf.erase(0, nl + 1);
     if (line == "q") ::_exit(0);
-    std::string payload = job(std::stoull(line));
+    std::string payload =
+        job(parseNumber<std::size_t>("campaign pool job index", line));
     WMSN_REQUIRE_MSG(payload.find('\n') == std::string::npos,
                      "pool job payload may not contain newlines");
     payload += '\n';

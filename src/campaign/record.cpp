@@ -1,13 +1,12 @@
 #include "campaign/record.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <iterator>
 #include <type_traits>
 
 #include "obs/trace_analyze.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::campaign {
@@ -73,23 +72,22 @@ std::string wireText(bool v) { return v ? "1" : "0"; }
 /// fit T, throw PreconditionError naming the field `key`.
 template <class T>
 T parseWire(const std::string& text, const char* key) {
-  T value{};
-  bool ok = false;
+  const auto malformed = [&] {
+    return std::string("malformed run-record field ") + key + ": '" + text +
+           "'";
+  };
   if constexpr (std::is_same_v<T, bool>) {
-    ok = text == "0" || text == "1";
-    value = text == "1";
+    WMSN_REQUIRE_MSG(text == "0" || text == "1", malformed());
+    return text == "1";
   } else if constexpr (std::is_same_v<T, double>) {
-    char* end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    ok = !text.empty() && end == text.c_str() + text.size();
+    try {
+      return parseWireDouble(text);
+    } catch (const PreconditionError&) {
+      throw PreconditionError(malformed());
+    }
   } else {
-    const char* last = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
-    ok = ec == std::errc{} && ptr == last;
+    return parseNumber<T>(key, text);
   }
-  WMSN_REQUIRE_MSG(ok, std::string("malformed run-record field ") + key +
-                           ": '" + text + "'");
-  return value;
 }
 
 void appendField(std::string& out, const std::string& field) {

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
 
@@ -12,230 +13,12 @@ namespace wmsn::campaign {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const std::size_t first = s.find_first_not_of(" \t");
-  if (first == std::string::npos) return "";
-  const std::size_t last = s.find_last_not_of(" \t");
-  return s.substr(first, last - first + 1);
-}
-
-std::vector<std::string> splitList(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(trim(s.substr(start)));
-      return out;
-    }
-    out.push_back(trim(s.substr(start, pos - start)));
-    start = pos + 1;
-  }
-}
-
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw PreconditionError("campaign spec line " + std::to_string(line) + ": " +
                           what);
 }
 
-double parseDouble(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    WMSN_REQUIRE(used == value.size());
-    return v;
-  } catch (const std::exception&) {
-    throw PreconditionError("campaign key '" + key +
-                            "': not a number: '" + value + "'");
-  }
-}
-
-std::uint64_t parseUint(const std::string& key, const std::string& value) {
-  WMSN_REQUIRE_MSG(!value.empty() && value.find_first_not_of("0123456789") ==
-                                         std::string::npos,
-                   "campaign key '" + key + "': not a non-negative integer: '" +
-                       value + "'");
-  return std::stoull(value);
-}
-
-bool parseSwitch(const std::string& key, const std::string& value) {
-  if (value == "on" || value == "true") return true;
-  if (value == "off" || value == "false") return false;
-  throw PreconditionError("campaign key '" + key +
-                          "': expected on/off, got '" + value + "'");
-}
-
-core::ProtocolKind parseProtocol(const std::string& value) {
-  static const std::vector<std::pair<std::string, core::ProtocolKind>> kMap = {
-      {"flooding", core::ProtocolKind::kFlooding},
-      {"gossip", core::ProtocolKind::kGossip},
-      {"spin", core::ProtocolKind::kSpin},
-      {"diffusion", core::ProtocolKind::kDiffusion},
-      {"leach", core::ProtocolKind::kLeach},
-      {"pegasis", core::ProtocolKind::kPegasis},
-      {"teen", core::ProtocolKind::kTeen},
-      {"single-sink", core::ProtocolKind::kSingleSink},
-      {"spr", core::ProtocolKind::kSpr},
-      {"mlr", core::ProtocolKind::kMlr},
-      {"secmlr", core::ProtocolKind::kSecMlr},
-  };
-  for (const auto& [name, kind] : kMap)
-    if (name == value) return kind;
-  throw PreconditionError("campaign key 'protocol': unknown protocol '" +
-                          value + "'");
-}
-
-/// Fault axis value: `none`, or ';'-joined tokens — scheduled events in the
-/// --fault-plan grammar (gw0@3, s17+@5), `smtbf:N`/`smttr:N` sensor churn,
-/// `gwmtbf:N`/`gwmttr:N` gateway churn, `loss:P` Gilbert–Elliott loss at
-/// steady-state fraction P.
-void applyFault(core::ScenarioConfig& cfg, const std::string& value) {
-  cfg.faults = fault::FaultPlan{};
-  if (value == "none") return;
-  for (const std::string& token : splitList(value, ';')) {
-    if (token.rfind("smtbf:", 0) == 0) {
-      cfg.faults.sensorMtbfRounds = static_cast<std::uint32_t>(
-          parseUint("fault", token.substr(6)));
-    } else if (token.rfind("smttr:", 0) == 0) {
-      cfg.faults.sensorMttrRounds = static_cast<std::uint32_t>(
-          parseUint("fault", token.substr(6)));
-    } else if (token.rfind("gwmtbf:", 0) == 0) {
-      cfg.faults.gatewayMtbfRounds = static_cast<std::uint32_t>(
-          parseUint("fault", token.substr(7)));
-    } else if (token.rfind("gwmttr:", 0) == 0) {
-      cfg.faults.gatewayMttrRounds = static_cast<std::uint32_t>(
-          parseUint("fault", token.substr(7)));
-    } else if (token.rfind("loss:", 0) == 0) {
-      const double p = parseDouble("fault", token.substr(5));
-      WMSN_REQUIRE_MSG(p >= 0.0 && p < 1.0,
-                       "campaign key 'fault': loss fraction must be in [0,1)");
-      if (p > 0.0) {
-        cfg.faults.linkLoss.enabled = true;
-        cfg.faults.linkLoss.pGoodToBad =
-            cfg.faults.linkLoss.pBadToGood * p / (1.0 - p);
-      }
-    } else {
-      const auto events = fault::parseFaultPlan(token);
-      cfg.faults.events.insert(cfg.faults.events.end(), events.begin(),
-                               events.end());
-    }
-  }
-}
-
 }  // namespace
-
-void applySetting(core::ScenarioConfig& cfg, const std::string& key,
-                  const std::string& value) {
-  if (key == "protocol") {
-    cfg.protocol = parseProtocol(value);
-  } else if (key == "sensors") {
-    cfg.sensorCount = parseUint(key, value);
-  } else if (key == "gateways") {
-    cfg.gatewayCount = parseUint(key, value);
-  } else if (key == "places") {
-    cfg.feasiblePlaceCount = parseUint(key, value);
-  } else if (key == "clusters") {
-    cfg.clusterCount = parseUint(key, value);
-  } else if (key == "area") {
-    cfg.width = cfg.height = parseDouble(key, value);
-  } else if (key == "range") {
-    cfg.radioRange = parseDouble(key, value);
-  } else if (key == "rounds") {
-    cfg.rounds = static_cast<std::uint32_t>(parseUint(key, value));
-  } else if (key == "packets") {
-    cfg.packetsPerSensorPerRound =
-        static_cast<std::uint32_t>(parseUint(key, value));
-  } else if (key == "reading-bytes") {
-    cfg.readingBytes = parseUint(key, value);
-  } else if (key == "deployment") {
-    if (value == "uniform") cfg.deployment = core::DeploymentKind::kUniform;
-    else if (value == "grid") cfg.deployment = core::DeploymentKind::kGrid;
-    else if (value == "clustered")
-      cfg.deployment = core::DeploymentKind::kClustered;
-    else
-      throw PreconditionError("campaign key 'deployment': unknown kind '" +
-                              value + "'");
-  } else if (key == "workload") {
-    if (value == "legacy")
-      cfg.workload.kind = workload::WorkloadKind::kLegacyRounds;
-    else if (value == "periodic")
-      cfg.workload.kind = workload::WorkloadKind::kPeriodic;
-    else if (value == "poisson")
-      cfg.workload.kind = workload::WorkloadKind::kPoisson;
-    else if (value == "burst")
-      cfg.workload.kind = workload::WorkloadKind::kBurst;
-    else
-      throw PreconditionError("campaign key 'workload': unknown kind '" +
-                              value + "'");
-  } else if (key == "rate") {
-    cfg.workload.ratePerSensor = parseDouble(key, value);
-    cfg.workload.burst.backgroundRate = cfg.workload.ratePerSensor;
-  } else if (key == "queue") {
-    cfg.macQueue.capacity = parseUint(key, value);
-  } else if (key == "queue-policy") {
-    if (value == "drop-tail") cfg.macQueue.policy = net::QueuePolicy::kDropTail;
-    else if (value == "drop-oldest")
-      cfg.macQueue.policy = net::QueuePolicy::kDropOldest;
-    else
-      throw PreconditionError("campaign key 'queue-policy': unknown policy '" +
-                              value + "'");
-  } else if (key == "static") {
-    cfg.gatewaysMove = !parseSwitch(key, value);
-  } else if (key == "plan") {
-    cfg.planGatewayPlacement = parseSwitch(key, value);
-  } else if (key == "sleep") {
-    cfg.sleep.enabled = parseSwitch(key, value);
-  } else if (key == "reliable") {
-    cfg.mlr.reliableForwarding = parseSwitch(key, value);
-  } else if (key == "lossy") {
-    cfg.lossyRadio = parseSwitch(key, value);
-  } else if (key == "failover") {
-    // Mirrors wmsn_cli's fault-run default: MLR/SecMLR heartbeat failover
-    // plus SPR re-discovery backoff, or the legacy ablation when off.
-    const bool on = parseSwitch(key, value);
-    cfg.mlr.failover = on;
-    if (on && cfg.spr.retryBackoff.us == 0)
-      cfg.spr.retryBackoff = sim::Time::seconds(0.2);
-  } else if (key == "metrics") {
-    cfg.obs.metrics = parseSwitch(key, value);
-  } else if (key == "perf") {
-    cfg.obs.perf = parseSwitch(key, value);
-  } else if (key == "trace") {
-    cfg.obs.traceSpans = parseSwitch(key, value);
-  } else if (key == "trace-sample") {
-    const double f = parseDouble(key, value);
-    WMSN_REQUIRE_MSG(f > 0.0 && f <= 1.0,
-                     "campaign key 'trace-sample': fraction must be in (0,1]");
-    cfg.obs.traceSamplePermille =
-        static_cast<std::uint32_t>(f * 1000.0 + 0.5);
-  } else if (key == "attack") {
-    if (value == "none") cfg.attack.kind = attacks::AttackKind::kNone;
-    else if (value == "replay") cfg.attack.kind = attacks::AttackKind::kReplay;
-    else if (value == "spoof")
-      cfg.attack.kind = attacks::AttackKind::kSpoofMove;
-    else if (value == "selective")
-      cfg.attack.kind = attacks::AttackKind::kSelectiveForward;
-    else if (value == "sinkhole")
-      cfg.attack.kind = attacks::AttackKind::kSinkhole;
-    else if (value == "hello-flood")
-      cfg.attack.kind = attacks::AttackKind::kHelloFlood;
-    else if (value == "sybil") cfg.attack.kind = attacks::AttackKind::kSybil;
-    else if (value == "wormhole")
-      cfg.attack.kind = attacks::AttackKind::kWormhole;
-    else if (value == "ack-spoof")
-      cfg.attack.kind = attacks::AttackKind::kAckSpoof;
-    else
-      throw PreconditionError("campaign key 'attack': unknown kind '" + value +
-                              "'");
-  } else if (key == "attackers") {
-    cfg.attackerCount = parseUint(key, value);
-  } else if (key == "fault") {
-    applyFault(cfg, value);
-  } else {
-    throw PreconditionError("campaign spec: unknown setting key '" + key +
-                            "'");
-  }
-}
 
 std::uint64_t CampaignSpec::fingerprint() const {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -303,9 +86,11 @@ CampaignSpec parseSpec(const std::string& text) {
         if (key == "name") {
           spec.name = value;
         } else if (key == "seed") {
-          spec.seedBase = parseUint(key, value);
+          spec.seedBase =
+              parseNumber<std::uint64_t>("campaign key 'seed'", value);
         } else if (key == "repeats") {
-          spec.repeats = static_cast<std::uint32_t>(parseUint(key, value));
+          spec.repeats =
+              parseNumber<std::uint32_t>("campaign key 'repeats'", value);
           if (spec.repeats == 0) fail(lineNo, "repeats must be >= 1");
         } else if (key == "compare") {
           spec.compareKey = value;
@@ -377,7 +162,8 @@ std::vector<PlannedRun> expand(const CampaignSpec& spec) {
       seedSequence(spec.seedBase, spec.repeats);
 
   core::ScenarioConfig base;
-  for (const auto& [key, value] : spec.base) applySetting(base, key, value);
+  for (const auto& [key, value] : spec.base)
+    core::applySetting(base, key, value);
 
   std::vector<PlannedRun> runs;
   std::set<std::string> seen;
@@ -396,9 +182,9 @@ std::vector<PlannedRun> expand(const CampaignSpec& spec) {
         WMSN_REQUIRE_MSG(settings, "campaign sweep names unknown variant '" +
                                        av.value + "'");
         for (const auto& [key, value] : *settings)
-          applySetting(cfg, key, value);
+          core::applySetting(cfg, key, value);
       } else {
-        applySetting(cfg, axis.key, av.value);
+        core::applySetting(cfg, axis.key, av.value);
       }
     }
     std::string cell;

@@ -10,7 +10,7 @@
 namespace wmsn::campaign {
 
 /// One point on a sweep axis: the short `label` names it in run IDs, cells
-/// and the artifact; the `value` is what applySetting (or the variant
+/// and the artifact; the `value` is what core::applySetting (or the variant
 /// table) consumes.
 struct AxisValue {
   std::string label;
@@ -38,7 +38,8 @@ using Settings = std::vector<std::pair<std::string, std::string>>;
 ///   seed = 7                     compare
 ///   repeats = 5
 ///   rounds = 12                  any other top-level key=value is a base
-///   sensors = 80                 ScenarioConfig setting (applySetting)
+///   sensors = 80                 ScenarioConfig setting
+///                                (core::applySetting)
 ///
 ///   [variant spr-m1]             a named settings bundle
 ///   protocol = spr
@@ -78,13 +79,6 @@ CampaignSpec parseSpec(const std::string& text);
 
 /// Reads and parses a spec file. Throws on I/O failure.
 CampaignSpec loadSpec(const std::string& path);
-
-/// Applies one `key = value` setting to a scenario config. Shared by base
-/// settings, variant bundles and axis values so every spelling of a knob
-/// behaves identically. Throws PreconditionError naming the key on bad
-/// input. `specs/` keys mirror wmsn_cli flags (EXPERIMENTS.md lists them).
-void applySetting(core::ScenarioConfig& cfg, const std::string& key,
-                  const std::string& value);
 
 /// One expanded grid point: a fully-built ScenarioConfig plus the identity
 /// strings the journal, artifact and statistics key on.

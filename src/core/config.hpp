@@ -188,4 +188,17 @@ struct ScenarioConfig {
   void validate() const;
 };
 
+/// Applies one `key = value` setting: the one place text becomes a
+/// ScenarioConfig. Campaign specs apply their base settings, variant bundles
+/// and axis values through it, and wmsn_cli's scenario flags are these keys:
+/// `--sensors 80` is `sensors = 80`, a switch flag such as `--static` is
+/// `static = on`, and the fault flags build `fault` tokens. EXPERIMENTS.md
+/// lists the keys. Numbers go through wmsn::parseNumber. Throws
+/// PreconditionError naming the key on bad input.
+void applySetting(ScenarioConfig& cfg, const std::string& key,
+                  const std::string& value);
+
+/// The names the `protocol` or `attack` setting accepts (wmsn_cli --list).
+std::vector<std::string> settingNames(const std::string& key);
+
 }  // namespace wmsn::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/profiler.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::crypto {
@@ -16,6 +17,7 @@ TeslaChain::TeslaChain(const Key& seed, std::size_t length) {
 }
 
 Key TeslaChain::step(const Key& next) {
+  WMSN_PROFILE_PHASE(kCrypto);
   ByteWriter w;
   w.str("tesla-chain");
   w.raw(std::span<const std::uint8_t>(next.data(), next.size()));

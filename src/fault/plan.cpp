@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::fault {
@@ -24,6 +25,7 @@ double GilbertElliottParams::steadyStateLoss() const {
 namespace {
 
 FaultEvent parseEvent(const std::string& item) {
+  const std::string what = "fault event '" + item + "'";
   FaultEvent event;
   std::size_t pos = 0;
   if (item.rfind("gw", 0) == 0) {
@@ -33,17 +35,16 @@ FaultEvent parseEvent(const std::string& item) {
     event.target = FaultTargetKind::kSensor;
     pos = 1;
   } else {
-    throw PreconditionError("fault event '" + item +
-                            "': expected 's<n>' or 'gw<n>' target");
+    throw PreconditionError(what + ": expected 's<n>' or 'gw<n>' target");
   }
 
   std::size_t digits = 0;
   while (pos + digits < item.size() &&
          std::isdigit(static_cast<unsigned char>(item[pos + digits])))
     ++digits;
-  WMSN_REQUIRE_MSG(digits > 0,
-                   "fault event '" + item + "': missing target ordinal");
-  event.ordinal = std::stoul(item.substr(pos, digits));
+  WMSN_REQUIRE_MSG(digits > 0, what + ": missing target ordinal");
+  event.ordinal = parseNumber<std::size_t>(
+      what + " ordinal", std::string_view(item).substr(pos, digits));
   pos += digits;
 
   if (pos < item.size() && item[pos] == '+') {
@@ -51,14 +52,9 @@ FaultEvent parseEvent(const std::string& item) {
     ++pos;
   }
   WMSN_REQUIRE_MSG(pos < item.size() && item[pos] == '@',
-                   "fault event '" + item + "': expected '@<round>'");
-  ++pos;
-  WMSN_REQUIRE_MSG(pos < item.size(),
-                   "fault event '" + item + "': missing round");
-  for (std::size_t i = pos; i < item.size(); ++i)
-    WMSN_REQUIRE_MSG(std::isdigit(static_cast<unsigned char>(item[i])),
-                     "fault event '" + item + "': malformed round");
-  event.round = static_cast<std::uint32_t>(std::stoul(item.substr(pos)));
+                   what + ": expected '@<round>'");
+  event.round = parseNumber<std::uint32_t>(
+      what + " round", std::string_view(item).substr(pos + 1));
   return event;
 }
 

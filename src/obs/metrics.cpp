@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::obs {
@@ -238,13 +239,6 @@ void requireWireSafe(const std::string& s) {
                      "control character in metric name/label: not wire-safe");
 }
 
-std::uint64_t parseU64(const std::string& s) {
-  WMSN_REQUIRE_MSG(!s.empty() &&
-                       s.find_first_not_of("0123456789") == std::string::npos,
-                   "malformed wire integer: '" + s + "'");
-  return std::stoull(s);
-}
-
 }  // namespace
 
 std::string MetricsRegistry::wire() const {
@@ -314,7 +308,8 @@ MetricsRegistry MetricsRegistry::fromWire(const std::string& wire) {
     }
     if (kind == 'c') {
       WMSN_REQUIRE_MSG(fields.size() == 4, "counter wire record wants 4 fields");
-      registry.counter(name, labels).add(parseU64(fields[3]));
+      registry.counter(name, labels)
+          .add(parseNumber<std::uint64_t>("metrics wire counter", fields[3]));
     } else if (kind == 'g') {
       WMSN_REQUIRE_MSG(fields.size() == 4, "gauge wire record wants 4 fields");
       registry.gauge(name, labels).set(parseWireDouble(fields[3]));
@@ -326,7 +321,8 @@ MetricsRegistry MetricsRegistry::fromWire(const std::string& wire) {
         edges.push_back(parseWireDouble(e));
       std::vector<std::uint64_t> counts;
       for (const std::string& c : split(fields[4], ';'))
-        counts.push_back(parseU64(c));
+        counts.push_back(
+            parseNumber<std::uint64_t>("metrics wire histogram count", c));
       registry.histogram(name, edges, labels)
           .merge(Histogram::fromState(std::move(edges), std::move(counts),
                                       parseWireDouble(fields[5])));

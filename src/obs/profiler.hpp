@@ -16,7 +16,7 @@ namespace wmsn::obs {
 enum class Phase : std::uint8_t {
   kEventDispatch,     ///< sim::Simulator event-queue dispatch (everything)
   kMacContention,     ///< CSMA carrier sensing, backoff and queue service
-  kCrypto,            ///< HMAC-SHA256 and Speck-CTR work (SecMLR)
+  kCrypto,            ///< HMAC-SHA256, TESLA chain and Speck-CTR work
   kRouteMaintenance,  ///< MLR place-table updates and move announcements
 };
 inline constexpr std::size_t kPhaseCount = 4;

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::obs {
@@ -34,8 +35,10 @@ std::size_t findKey(const std::string& line, const std::string& key) {
   return line.find('"' + key + "\":");
 }
 
-bool extractInt(const std::string& line, const std::string& key,
-                std::int64_t& out) {
+/// Parses the integer after `"key":` into `out`, which fixes its type and
+/// range; false when the key is absent.
+template <class T>
+bool extractInt(const std::string& line, const std::string& key, T& out) {
   const std::size_t at = findKey(line, key);
   if (at == std::string::npos) return false;
   const std::size_t start = at + key.size() + 3;
@@ -43,8 +46,8 @@ bool extractInt(const std::string& line, const std::string& key,
   while (end < line.size() &&
          (line[end] == '-' || (line[end] >= '0' && line[end] <= '9')))
     ++end;
-  if (end == start) return false;
-  out = std::stoll(line.substr(start, end - start));
+  out = parseNumber<T>("trace field '" + key + "'",
+                       std::string_view(line).substr(start, end - start));
   return true;
 }
 
@@ -198,20 +201,14 @@ std::vector<PacketSpan> parseTraceJsonl(const std::string& text) {
     PacketSpan span;
     WMSN_REQUIRE_MSG(parseKind(name, span.kind),
                      "unknown trace span kind: " + name);
-    std::int64_t value = 0;
     WMSN_REQUIRE_MSG(extractInt(line, "ts", span.timeUs),
                      "trace line has no ts: " + line);
-    WMSN_REQUIRE_MSG(extractInt(line, "tid", value),
+    WMSN_REQUIRE_MSG(extractInt(line, "tid", span.node),
                      "trace line has no tid: " + line);
-    span.node = static_cast<std::uint32_t>(value);
-    if (extractInt(line, "id", value))
-      span.uid = static_cast<std::uint64_t>(value);
-    if (extractInt(line, "peer", value))
-      span.peer = static_cast<std::uint32_t>(value);
-    if (extractInt(line, "info", value))
-      span.info = static_cast<std::uint32_t>(value);
-    if (extractInt(line, "bytes", value))
-      span.bytes = static_cast<std::uint32_t>(value);
+    extractInt(line, "id", span.uid);
+    extractInt(line, "peer", span.peer);
+    extractInt(line, "info", span.info);
+    extractInt(line, "bytes", span.bytes);
     std::string reason;
     if (extractString(line, "reason", reason))
       WMSN_REQUIRE_MSG(parseReason(reason, span.reason),

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
 #include "util/require.hpp"
 #include "util/table.hpp"
 
@@ -46,32 +47,6 @@ void CsvTraceSink::onEvent(const TraceEvent& e) {
                TextTable::num(e.bytes)});
 }
 
-std::string JsonlTraceSink::escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void JsonlTraceSink::onEvent(const TraceEvent& e) {
   char line[256];
   if (e.broadcast) {
@@ -80,7 +55,7 @@ void JsonlTraceSink::onEvent(const TraceEvent& e) {
                   "\"node\":%llu,\"hop_dst\":\"*\",\"origin\":%llu,"
                   "\"uid\":%llu,\"bytes\":%llu}\n",
                   e.timeSeconds, e.transmit ? "tx" : "rx",
-                  escape(e.kind).c_str(),
+                  jsonEscape(e.kind).c_str(),
                   static_cast<unsigned long long>(e.node),
                   static_cast<unsigned long long>(e.origin),
                   static_cast<unsigned long long>(e.uid),
@@ -91,7 +66,7 @@ void JsonlTraceSink::onEvent(const TraceEvent& e) {
                   "\"node\":%llu,\"hop_dst\":%llu,\"origin\":%llu,"
                   "\"uid\":%llu,\"bytes\":%llu}\n",
                   e.timeSeconds, e.transmit ? "tx" : "rx",
-                  escape(e.kind).c_str(),
+                  jsonEscape(e.kind).c_str(),
                   static_cast<unsigned long long>(e.node),
                   static_cast<unsigned long long>(e.hopDst),
                   static_cast<unsigned long long>(e.origin),

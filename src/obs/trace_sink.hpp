@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "util/csv.hpp"
 
@@ -69,9 +68,6 @@ class JsonlTraceSink final : public TraceSink {
   void onEvent(const TraceEvent& event) override;
   std::size_t events() const override { return events_; }
   std::string str() const override { return buffer_; }
-
-  /// JSON string-body escaping (quotes, backslashes, control characters).
-  static std::string escape(std::string_view s);
 
  private:
   std::string buffer_;

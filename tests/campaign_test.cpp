@@ -138,6 +138,28 @@ TEST(CampaignSpec, RejectsMalformedInput) {
   EXPECT_THROW(
       campaign::expand(campaign::parseSpec("warp = 9\n[sweep]\nprotocol = spr\n")),
       PreconditionError);
+
+  // Numbers must fit their field: no silent narrowing to 32 bits, no
+  // std::out_of_range escaping. The error names the key.
+  const auto expectRejected = [](const std::string& setting,
+                                 const std::string& key) {
+    try {
+      campaign::expand(
+          campaign::parseSpec(setting + "\n[sweep]\nprotocol = spr\n"));
+      ADD_FAILURE() << setting << " was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << setting << " threw " << e.what();
+    }
+  };
+  expectRejected("rounds = 4294967297", "rounds");
+  expectRejected("repeats = 4294967297", "repeats");
+  expectRejected("sensors = 99999999999999999999", "sensors");
+  expectRejected("fault = s1@4294967299", "fault");
+  expectRejected("fault = s99999999999999999999@1", "fault");
 }
 
 TEST(CampaignSpec, FingerprintTracksText) {
@@ -329,6 +351,31 @@ TEST(CampaignRegistryWire, RoundTripPreservesJsonExactly) {
       obs::MetricsRegistry::fromWire(reg.wire());
   EXPECT_EQ(back.json(), reg.json());
   EXPECT_EQ(obs::MetricsRegistry::fromWire(back.wire()).json(), reg.json());
+}
+
+TEST(CampaignRegistryWire, RejectsMalformedIntegers) {
+  obs::MetricsRegistry reg;
+  reg.counter("c").add(5);
+  reg.histogram("h", {1.0}).observe(0.5);
+  const std::string wire = reg.wire();
+  ASSERT_NO_THROW(obs::MetricsRegistry::fromWire(wire));
+  // The counter value ends its record ("...\x1f5\x1e"); the histogram
+  // counts field is "1;0".
+  const std::size_t counter = wire.find("\x1f" "5\x1e");
+  const std::size_t counts = wire.find("\x1f" "1;0\x1f");
+  ASSERT_NE(counter, std::string::npos);
+  ASSERT_NE(counts, std::string::npos);
+  for (const std::string bad : {"99999999999999999999", "-1", "5x", ""}) {
+    std::string withCounter = wire;
+    withCounter.replace(counter + 1, 1, bad);
+    EXPECT_THROW(obs::MetricsRegistry::fromWire(withCounter),
+                 PreconditionError)
+        << "counter '" << bad << "'";
+    std::string withCount = wire;
+    withCount.replace(counts + 1, 1, bad);
+    EXPECT_THROW(obs::MetricsRegistry::fromWire(withCount), PreconditionError)
+        << "histogram count '" << bad << "'";
+  }
 }
 
 TEST(CampaignRegistryWire, MergeAfterTransportMatchesDirectMerge) {

@@ -9,6 +9,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/speck.hpp"
 #include "crypto/tesla.hpp"
+#include "obs/profiler.hpp"
 #include "util/bytes.hpp"
 #include "util/require.hpp"
 
@@ -291,6 +292,20 @@ TEST(TeslaChain, ChainStepsBackToCommitment) {
   Key walked = chain.key(7);
   for (int i = 7; i > 0; --i) walked = TeslaChain::step(walked);
   EXPECT_EQ(walked, chain.commitment());
+}
+
+TEST(TeslaChain, ChainHashingIsTimedAsCrypto) {
+  Key seed{};
+  seed.fill(9);
+  obs::Profiler profiler;
+  {
+    obs::Profiler::Activation activation(&profiler);
+    const TeslaChain chain(seed, 8);
+    EXPECT_EQ(profiler.totals(obs::Phase::kCrypto).calls, 7u);
+    TeslaChain::step(chain.key(1));
+  }
+  EXPECT_EQ(profiler.totals(obs::Phase::kCrypto).calls, 8u);
+  EXPECT_EQ(profiler.depth(), 0u);
 }
 
 TEST(TeslaChain, MacKeyDiffersFromChainKey) {

@@ -36,6 +36,15 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(fault::parseFaultPlan("s5"), PreconditionError);
   EXPECT_THROW(fault::parseFaultPlan("s5@"), PreconditionError);
   EXPECT_THROW(fault::parseFaultPlan(""), PreconditionError);
+  // Ordinals and rounds must fit their fields, not wrap or escape as
+  // std::out_of_range.
+  EXPECT_THROW(fault::parseFaultPlan("s1@4294967296"), PreconditionError);
+  EXPECT_THROW(fault::parseFaultPlan("s1@-1"), PreconditionError);
+  EXPECT_THROW(fault::parseFaultPlan("s99999999999999999999@1"),
+               PreconditionError);
+  EXPECT_THROW(fault::parseFaultPlan("gw2+@1x"), PreconditionError);
+  EXPECT_EQ(fault::parseFaultPlan("s1@4294967295").front().round,
+            4294967295u);
   // Stray commas are tolerated; the events still parse.
   EXPECT_EQ(fault::parseFaultPlan("gw1@2,,s0@1").size(), 2u);
 }

@@ -9,6 +9,7 @@
 #include "core/wmsn.hpp"
 #include "net/sensor_network.hpp"
 #include "obs/perf_stats.hpp"
+#include "util/json.hpp"
 #include "util/require.hpp"
 
 namespace wmsn {
@@ -146,12 +147,11 @@ TEST(TraceSinks, FormatRoundTrip) {
 }
 
 TEST(TraceSinks, JsonlEscaping) {
-  EXPECT_EQ(obs::JsonlTraceSink::escape("plain"), "plain");
-  EXPECT_EQ(obs::JsonlTraceSink::escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(obs::JsonlTraceSink::escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::JsonlTraceSink::escape("a\nb"), "a\\nb");
-  EXPECT_EQ(obs::JsonlTraceSink::escape(std::string("a\x01") + "b"),
-            "a\\u0001b");
+  EXPECT_EQ(jsonEscape("plain"), "plain");
+  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 TEST(TraceSinks, JsonlRowShape) {

@@ -316,6 +316,40 @@ TEST(TraceAnalyze, ParserRejectsGarbage) {
   EXPECT_THROW(obs::parseTraceJsonl("{\"name\":\"nonsense\",\"ph\":\"b\"}\n"),
                PreconditionError);
   EXPECT_TRUE(obs::parseTraceJsonl("\n\n").empty());
+
+  // Each integer parses into its field's own type: a value that does not
+  // fit, or a truncated one, is an error naming the field.
+  const auto line = [](const std::string& ts, const std::string& tid,
+                       const std::string& peer) {
+    return "{\"name\":\"originate\",\"cat\":\"reading\",\"ph\":\"b\","
+           "\"ts\":" + ts + ",\"pid\":1,\"tid\":" + tid +
+           ",\"id\":5,\"args\":{\"peer\":" + peer +
+           ",\"info\":0,\"bytes\":12}}\n";
+  };
+  const auto spans = obs::parseTraceJsonl(line("-7", "4294967295", "3"));
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].timeUs, -7);
+  EXPECT_EQ(spans[0].node, 4294967295u);
+  EXPECT_EQ(spans[0].uid, 5u);
+  EXPECT_EQ(spans[0].peer, 3u);
+  const auto expectRejected = [](const std::string& text,
+                                 const std::string& key) {
+    try {
+      obs::parseTraceJsonl(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << text << " threw " << e.what();
+    }
+  };
+  expectRejected(line("1", "99999999999", "3"), "tid");
+  expectRejected(line("-", "1", "3"), "ts");
+  expectRejected(line("99999999999999999999", "1", "3"), "ts");
+  expectRejected(line("1", "1", "-1"), "peer");
+  expectRejected(line("1", "1", "4294967296"), "peer");
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
+#include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
@@ -317,6 +320,47 @@ TEST(CsvWriter, EscapesSpecialCharacters) {
 TEST(CsvWriter, RejectsMismatchedRow) {
   CsvWriter csv({"a"});
   EXPECT_THROW(csv.addRow({"x", "y"}), PreconditionError);
+}
+
+// --- parseNumber ------------------------------------------------------------
+
+/// Every rejected input throws PreconditionError naming the key and the text.
+template <class T>
+void expectNumberRejected(const std::vector<std::string>& inputs) {
+  for (const std::string& text : inputs) {
+    try {
+      parseNumber<T>("setting 'k'", text);
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("setting 'k'"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + text + "'"), std::string::npos) << what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << text << "' threw " << e.what();
+    }
+  }
+}
+
+TEST(ParseNumber, WholeValueInRangeOrAnErrorNamingKeyAndText) {
+  expectNumberRejected<std::uint32_t>({"", "abc", "30x", "x30", " 30", "30 ",
+                                       "+30", "-1", "-0", "1.5", "0x10",
+                                       "4294967296"});
+  expectNumberRejected<std::uint64_t>(
+      {"", "-1", "18446744073709551616", "99999999999999999999"});
+  expectNumberRejected<std::size_t>({"-", "1e3"});
+  expectNumberRejected<std::int64_t>(
+      {"-", "--1", "9223372036854775808", "-9223372036854775809"});
+  expectNumberRejected<double>({"", "x", "1.5.2", " 1", "+1", "1e999", "0.5s"});
+
+  EXPECT_EQ(parseNumber<std::uint32_t>("k", "0"), 0u);
+  EXPECT_EQ(parseNumber<std::uint32_t>("k", "4294967295"), 4294967295u);
+  EXPECT_EQ(parseNumber<std::uint32_t>("k", "007"), 7u);
+  EXPECT_EQ(parseNumber<std::uint64_t>("k", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parseNumber<std::int64_t>("k", "-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_DOUBLE_EQ(parseNumber<double>("k", "0.25"), 0.25);
+  EXPECT_DOUBLE_EQ(parseNumber<double>("k", "-1e-3"), -1e-3);
 }
 
 }  // namespace

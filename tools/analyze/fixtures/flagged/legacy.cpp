@@ -1,7 +1,8 @@
 // Legacy lint-group fixtures — float equality, process discipline,
-// range-scan discipline, single-slot observer.
+// range-scan discipline, single-slot observer, number-parse discipline.
 #include <cstdlib>
 #include <functional>
+#include <string>
 
 inline bool atUnit(double x) {
   return x == 1.0;  // expect: float-equality
@@ -36,3 +37,11 @@ inline int neighborsWithin(const Point* pts, int n, double r) {
 struct Hub {
   std::function<void(int)> frameObserver_;  // expect: observer-contract
 };
+
+inline unsigned long sensorsFlag(const std::string& text) {
+  return std::stoul(text);  // expect: number-parse-discipline
+}
+
+inline double rateFlag(const std::string& text) {
+  return std::stod (text);  // expect: number-parse-discipline
+}

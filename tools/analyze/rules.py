@@ -559,6 +559,25 @@ def check_rangescan_discipline(f, ctx, emit):
                 "or the spatial grid (docs/KERNEL.md)"))
 
 
+# Text-to-number conversion goes through wmsn::parseNumber (src/util/
+# parse.hpp): std::sto* accepts "30x" as 30, wraps "-1" to 2^64-1 for an
+# unsigned, and escapes as std::invalid_argument / std::out_of_range.
+_NUMBER_PARSE_EXEMPT = re.compile(r"^(src/util/parse\.(cpp|hpp)$|tests/)")
+_STO_CALL = re.compile(r"\bstd::sto(?:i|l|ul|ll|ull|f|d|ld)\s*\(")
+
+
+def check_number_parse_discipline(f, ctx, emit):
+    if _NUMBER_PARSE_EXEMPT.search(f.rel):
+        return
+    for i, line in enumerate(f.code_lines, start=1):
+        if _STO_CALL.search(line):
+            emit(Finding(
+                "number-parse-discipline", f.rel, i,
+                "std::sto* is lenient (trailing junk, wrapped negatives) "
+                "and throws std::invalid_argument/out_of_range; use "
+                "wmsn::parseNumber or parseFlag (src/util/parse.hpp)"))
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -620,6 +639,11 @@ RULES = [
          "distanceSq() outside the grid, radio and set-up BFS",
          "re-grows the O(n²) all-pairs scan the spatial grid deleted",
          check_rangescan_discipline, inline_ok=True),
+    Rule("number-parse-discipline", "lint",
+         "std::sto* outside src/util/parse.* and tests/",
+         "a lenient or aborting number parse lets bad text run or crash "
+         "instead of failing with a message naming the input",
+         check_number_parse_discipline, inline_ok=True),
 ]
 
 META_RULES = {
