@@ -36,7 +36,8 @@ TextTable comparisonTable(const std::vector<RunResult>& results,
                   TextTable::num(r.sensorEnergy.jainFairness, 3),
                   r.firstDeathObserved
                       ? TextTable::num(r.firstDeathRound)
-                      : ">" + TextTable::num(r.roundsCompleted)});
+                      : std::string(">").append(
+                            TextTable::num(r.roundsCompleted))});
   }
   return table;
 }

@@ -28,8 +28,8 @@ SvgWriter renderTopology(const Scenario& scenario, VizOptions options) {
     for (std::size_t p = 0; p < scenario.feasiblePlaces.size(); ++p) {
       const net::Point& place = scenario.feasiblePlaces[p];
       svg.cross(place.x, place.y, 4.0, "#7a5195", 1.2);
-      svg.text(place.x + 5, place.y - 5, "P" + std::to_string(p), 8.0,
-               "#7a5195");
+      svg.text(place.x + 5, place.y - 5,
+               std::string("P").append(std::to_string(p)), 8.0, "#7a5195");
     }
   }
 
@@ -58,7 +58,8 @@ SvgWriter renderTopology(const Scenario& scenario, VizOptions options) {
     const double half = options.nodeRadius * 1.8;
     svg.rect(pos.x - half, pos.y - half, 2 * half, 2 * half,
              node.alive() ? "#222222" : "#bbbbbb", "#ffffff", 0.8);
-    svg.text(pos.x + half + 2, pos.y + 3, "G" + std::to_string(g), 9.0);
+    svg.text(pos.x + half + 2, pos.y + 3,
+             std::string("G").append(std::to_string(g)), 9.0);
   }
 
   if (options.drawLegend) {

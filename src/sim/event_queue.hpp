@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/action.hpp"
@@ -20,13 +18,20 @@ inline constexpr EventId kInvalidEvent = 0;
 /// timestamp fire in insertion order (a sequence number breaks ties), so a
 /// simulation never depends on heap-internal ordering.
 ///
-/// The heap holds small {time, seq, slot, generation} entries; the actions
-/// themselves live in a slab of slots recycled through a free list, so a
-/// steady-state push/pop allocates nothing. A slot's generation advances
-/// every time it is freed, which makes cancel() O(1) — free the slot now,
-/// and the heap entry it leaves behind no longer matches and is skipped at
-/// pop time — and guarantees a stale EventId never reaches the slot's next
-/// occupant.
+/// The actions live in a slab of slots recycled through a free list, so a
+/// steady-state push/pop allocates nothing. A binary min-heap orders small
+/// {time, seq, slot} entries, one per *run*: a push whose time equals the
+/// previous push's time, with no pop in between, takes the next sequence
+/// number and is linked after that push's slot instead of entering the heap.
+/// A run's seqs are consecutive at one time, so no other event sorts between
+/// them, and popping a run head advances the heap top in place (seq + 1,
+/// next slot) without a sift; only a run's last member leaves the heap.
+///
+/// A slot's generation advances when its event fires or is cancelled, which
+/// makes cancel() O(1) and guarantees a stale EventId never reaches the
+/// slot's next occupant. A cancelled event's action is destroyed at once,
+/// but its slot stays linked in its run until pop() or nextTime() walks
+/// past it; only then does it return to the free list.
 class EventQueue {
  public:
   struct Event {
@@ -56,11 +61,11 @@ class EventQueue {
   void clear();
 
  private:
+  /// The heap entry of a run: its time and its head slot's seq and slot.
   struct Entry {
     Time time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t generation;
     bool operator>(const Entry& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;  // seq is issued monotonically → FIFO at same time
@@ -68,20 +73,22 @@ class EventQueue {
   };
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   struct Slot {
-    Action action;  ///< empty while the slot is free
+    Action action;  ///< empty once the event fired or was cancelled
     std::uint32_t generation = 1;
-    std::uint32_t nextFree = kNoSlot;
+    /// The next member of the slot's run, or the next free slot.
+    std::uint32_t next = kNoSlot;
   };
 
-  bool stale(const Entry& entry) const {
-    return slots_[entry.slot].generation != entry.generation;
-  }
-  void release(std::uint32_t slot);
-  void dropStaleFront();
+  void advanceTop();
+  void dropCancelledFront();
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;  ///< min-heap on (time, seq), one entry per run
   std::vector<Slot> slots_;
   std::uint32_t freeHead_ = kNoSlot;  ///< head of the free-slot list
+  /// The last push's slot while a same-time push may still join its run;
+  /// kNoSlot after any pop.
+  std::uint32_t tail_ = kNoSlot;
+  Time tailTime_;
   std::uint64_t nextSeq_ = 0;
   std::size_t liveCount_ = 0;
 };

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/action.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "util/random.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::sim {
@@ -73,21 +77,28 @@ TEST(EventQueue, PopOnEmptyThrows) {
 TEST(EventQueue, CancelOfReusedSlotIdIsRejected) {
   EventQueue q;
   std::vector<int> fired;
+  const auto slotOf = [](EventId id) { return static_cast<std::uint32_t>(id); };
   const EventId first = q.push(Time{1}, [&] { fired.push_back(1); });
   EXPECT_TRUE(q.cancel(first));
-  // The freed slot is recycled; the stale id must not reach the new event.
   const EventId second = q.push(Time{2}, [&] { fired.push_back(2); });
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(q.cancel(first));
-  EXPECT_EQ(q.size(), 1u);
-  // Same for an id whose event already fired.
-  q.pop().action();
+  // A cancelled slot is freed once the queue walks past it; the recycled
+  // slot's stale id must not reach the new event.
+  EXPECT_EQ(q.nextTime().us, 2);
   const EventId third = q.push(Time{3}, [&] { fired.push_back(3); });
+  EXPECT_EQ(slotOf(third), slotOf(first));
+  EXPECT_NE(first, third);
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.size(), 2u);
+  // Same for an id whose event already fired: its slot is freed at once.
+  q.pop().action();
+  const EventId fourth = q.push(Time{4}, [&] { fired.push_back(4); });
+  EXPECT_EQ(slotOf(fourth), slotOf(second));
   EXPECT_FALSE(q.cancel(second));
-  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.size(), 2u);
   while (!q.empty()) q.pop().action();
-  EXPECT_EQ(fired, (std::vector<int>{2, 3}));
+  EXPECT_EQ(fired, (std::vector<int>{2, 3, 4}));
   EXPECT_FALSE(q.cancel(third));
+  EXPECT_FALSE(q.cancel(fourth));
   EXPECT_FALSE(q.cancel(kInvalidEvent));
 }
 
@@ -97,10 +108,12 @@ TEST(EventQueue, FifoAtSameTimestampAcrossSlotReuse) {
   std::vector<EventId> ids;
   for (int i = 0; i < 6; ++i)
     ids.push_back(q.push(Time{5}, [&fired, i] { fired.push_back(i); }));
-  // Free low slots, then refill them: later pushes land in earlier slots
-  // but must still fire after every earlier push at the same time.
+  // Free a low slot (nextTime walks past the cancelled run head), then
+  // refill it: a later push lands in an earlier slot but must still fire
+  // after every earlier push at the same time.
   EXPECT_TRUE(q.cancel(ids[0]));
   EXPECT_TRUE(q.cancel(ids[2]));
+  EXPECT_EQ(q.nextTime().us, 5);
   for (int i = 6; i < 9; ++i)
     q.push(Time{5}, [&fired, i] { fired.push_back(i); });
   q.push(Time{4}, [&fired] { fired.push_back(-1); });
@@ -127,6 +140,194 @@ TEST(EventQueue, SizeTracksMixedCancelAndPop) {
   while (!q.empty()) times.push_back(q.pop().time.us);
   EXPECT_EQ(times, (std::vector<std::int64_t>{2, 3, 4, 6, 9}));
   EXPECT_EQ(q.size(), 0u);
+}
+
+void drain(EventQueue& q) {
+  while (!q.empty()) {
+    const Time t = q.nextTime();
+    EventQueue::Event ev = q.pop();
+    EXPECT_EQ(ev.time, t);
+    ev.action();
+  }
+}
+
+TEST(EventQueue, CancelRunHeadMiddleAndTail) {
+  // Back-to-back pushes at one time share one heap entry (a run).
+  for (const std::vector<int>& cancelled :
+       {std::vector<int>{0}, std::vector<int>{2}, std::vector<int>{4},
+        std::vector<int>{0, 2, 4}, std::vector<int>{0, 1, 2, 3, 4}}) {
+    EventQueue q;
+    std::vector<int> fired;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 5; ++i)
+      ids.push_back(q.push(Time{5}, [&fired, i] { fired.push_back(i); }));
+    q.push(Time{6}, [&fired] { fired.push_back(9); });
+    std::vector<int> expected;
+    for (int i = 0; i < 5; ++i) {
+      const bool cancel = std::find(cancelled.begin(), cancelled.end(), i) !=
+                          cancelled.end();
+      if (cancel) {
+        EXPECT_TRUE(q.cancel(ids[static_cast<std::size_t>(i)]));
+      } else {
+        expected.push_back(i);
+      }
+    }
+    expected.push_back(9);
+    EXPECT_EQ(q.size(), expected.size());
+    for (const int i : cancelled)
+      EXPECT_FALSE(q.cancel(ids[static_cast<std::size_t>(i)]));
+    drain(q);
+    EXPECT_EQ(fired, expected);
+  }
+}
+
+TEST(EventQueue, SameTimePushAfterPopFiresAfterTheRun) {
+  EventQueue q;
+  std::vector<int> fired;
+  for (int i = 0; i < 3; ++i)
+    q.push(Time{5}, [&fired, i] { fired.push_back(i); });
+  q.pop().action();
+  // Pushed after a pop, at the run's time: it starts a new run, and its
+  // later seq puts it behind every remaining member of the first one.
+  q.push(Time{5}, [&fired] { fired.push_back(3); });
+  // A push from inside a popped action at `now` goes behind both.
+  q.push(Time{5}, [&] {
+    fired.push_back(4);
+    q.push(Time{5}, [&fired] { fired.push_back(6); });
+  });
+  q.push(Time{5}, [&fired] { fired.push_back(5); });
+  drain(q);
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+
+  // Popping a run's last member frees its slot: a same-time push must not
+  // link after it (the freed slot is the next one handed out).
+  q.push(Time{9}, [] {});
+  q.push(Time{5}, [] {});
+  EXPECT_EQ(q.pop().time.us, 5);
+  q.push(Time{5}, [] {});
+  ASSERT_EQ(q.nextTime().us, 5);
+  EXPECT_EQ(q.pop().time.us, 5);
+  EXPECT_EQ(q.pop().time.us, 9);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, NextTimeDropsCancelledRunHead) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(q.push(Time{3}, [] {}));
+  q.push(Time{7}, [] {});
+  EXPECT_TRUE(q.cancel(ids[0]));
+  EXPECT_EQ(q.nextTime().us, 3);  // the run's second member is live
+  EXPECT_TRUE(q.cancel(ids[1]));
+  EXPECT_TRUE(q.cancel(ids[2]));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.nextTime().us, 7);  // the whole run is gone
+  EXPECT_EQ(q.pop().time.us, 7);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ClearMidRunRejectsOldIdsAndReusesSlots) {
+  EventQueue q;
+  int fired = 0;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 4; ++i)
+    ids.push_back(q.push(Time{5}, [&fired] { ++fired; }));
+  q.pop().action();
+  EXPECT_TRUE(q.cancel(ids[2]));
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  for (const EventId id : ids) EXPECT_FALSE(q.cancel(id));
+  std::vector<EventId> fresh;
+  for (int i = 0; i < 4; ++i)
+    fresh.push_back(q.push(Time{5}, [&fired] { ++fired; }));
+  for (const EventId id : fresh) {
+    EXPECT_LT(static_cast<std::uint32_t>(id), 4u);  // the slab did not grow
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), id), 0);
+  }
+  for (const EventId id : ids) EXPECT_FALSE(q.cancel(id));
+  EXPECT_EQ(q.size(), 4u);
+  drain(q);
+  EXPECT_EQ(fired, 5);
+}
+
+// Seeded differential test: random interleavings of pushes (single and
+// same-time bursts of 1-20), pops, cancels (live and dead ids) and pushes
+// from inside a popped action, checked against a reference that pops the
+// pending event with the smallest (time, push index).
+TEST(EventQueue, MatchesSortedReferenceUnderRandomInterleaving) {
+  struct Pending {
+    std::int64_t time;
+    std::uint64_t index;
+    EventId id;
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    std::vector<Pending> pending;
+    std::vector<EventId> dead;
+    std::vector<std::uint64_t> fired;
+    std::uint64_t pushes = 0;
+    std::int64_t now = 0;
+    std::function<void(std::int64_t, int)> pushOne = [&](std::int64_t time,
+                                                         int nested) {
+      const std::uint64_t index = pushes++;
+      const EventId id = q.push(Time{time}, [&, index, time, nested] {
+        fired.push_back(index);
+        for (int i = 0; i < nested; ++i) pushOne(time, 0);
+      });
+      pending.push_back({time, index, id});
+    };
+    const auto popOne = [&] {
+      const auto best = std::min_element(
+          pending.begin(), pending.end(),
+          [](const Pending& a, const Pending& b) {
+            return std::tie(a.time, a.index) < std::tie(b.time, b.index);
+          });
+      const Pending expected = *best;
+      pending.erase(best);
+      if (rng.uniformInt(0, 1) == 0) {
+        EXPECT_EQ(q.nextTime().us, expected.time);
+      }
+      EventQueue::Event ev = q.pop();
+      EXPECT_EQ(ev.time.us, expected.time);
+      EXPECT_EQ(ev.id, expected.id);
+      now = ev.time.us;
+      ev.action();
+      ASSERT_FALSE(fired.empty());
+      EXPECT_EQ(fired.back(), expected.index);
+      dead.push_back(ev.id);
+    };
+    for (int op = 0; op < 10000; ++op) {
+      const std::int64_t roll = rng.uniformInt(0, 99);
+      if (roll < 15) {  // same-time burst
+        const std::int64_t time = now + rng.uniformInt(0, 6);
+        const std::int64_t count = rng.uniformInt(1, 20);
+        for (std::int64_t i = 0; i < count; ++i)
+          pushOne(time, rng.uniformInt(0, 9) == 0 ? 2 : 0);
+      } else if (roll < 30) {  // single push, maybe nesting pushes at now
+        pushOne(now + rng.uniformInt(0, 10),
+                static_cast<int>(rng.uniformInt(0, 3)));
+      } else if (roll < 85) {
+        for (std::int64_t n = rng.uniformInt(1, 8); n > 0 && !pending.empty();
+             --n)
+          popOne();
+      } else if (roll < 97) {
+        if (!pending.empty()) {
+          const std::size_t victim = rng.index(pending.size());
+          EXPECT_TRUE(q.cancel(pending[victim].id));
+          dead.push_back(pending[victim].id);
+          pending.erase(pending.begin() +
+                        static_cast<std::ptrdiff_t>(victim));
+        }
+      } else if (!dead.empty()) {
+        EXPECT_FALSE(q.cancel(dead[rng.index(dead.size())]));
+      }
+      ASSERT_EQ(q.size(), pending.size());
+    }
+    while (!pending.empty()) popOne();
+    EXPECT_TRUE(q.empty());
+  }
 }
 
 // Counts destructions of live (not moved-from) instances.
