@@ -65,16 +65,7 @@ double timeVariant(const Variant& v, unsigned reps, std::uint64_t& events) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parseArgs(argc, argv);
-  unsigned reps = 10;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--reps" && i + 1 < argc)
-      reps = parseFlag<unsigned>("--reps", argv[++i]);
-    else if (std::string(argv[i]) == "--check")
-      check = true;
-  }
-  if (reps == 0) reps = 1;
+  const auto args = bench::parseArgs(argc, argv, /*repsAndCheck=*/true);
 
   bench::banner(
       "OBSOVH", "observability overhead (null sink, metrics, profiler)",
@@ -140,7 +131,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> overheads;
   for (const Variant& v : variants) {
     std::uint64_t events = 0;
-    const double seconds = timeVariant(v, reps, events);
+    const double seconds = timeVariant(v, args.reps, events);
     if (v.name == "bare") baseline = seconds;
     const double overheadPct =
         baseline > 0.0 ? (seconds / baseline - 1.0) * 100.0 : 0.0;
@@ -155,14 +146,14 @@ int main(int argc, char** argv) {
 
   core::printSection(std::cout,
                      "wall-clock overhead vs bare run (min of " +
-                         std::to_string(reps) + " reps)",
+                         std::to_string(args.reps) + " reps)",
                      table);
   std::cout << "expected shape: null-trace-sink and profile within a few "
                "percent of bare; serialising sinks cost more because they "
                "buffer one row per frame event.\n";
   bench::maybeWriteCsv(args, csv);
 
-  if (check) {
+  if (args.check) {
     // The obs budget the PR contract enforces in CI (min-of-reps):
     //   null-trace-sink   <= 2%  — counting frames is always affordable
     //   trace-spans-sampled <= 5% — head-sampled causal tracing stays cheap

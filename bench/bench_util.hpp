@@ -1,9 +1,10 @@
 #pragma once
 
 // Shared plumbing for the experiment binaries: --csv output, titled
-// sections, and a tiny argument parser. Every binary runs with no arguments
+// sections, and a strict argument parser. Every binary runs with no arguments
 // and prints the paper-shaped tables to stdout.
 
+#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -18,20 +19,40 @@ namespace wmsn::bench {
 struct BenchArgs {
   std::optional<std::string> csvPath;
   unsigned threads = 0;  ///< 0 = hardware concurrency
+  unsigned reps = 10;    ///< --reps, where parseArgs admits it (>= 1)
+  bool check = false;    ///< --check, where parseArgs admits it
 };
 
-inline BenchArgs parseArgs(int argc, char** argv) {
+/// Parses --csv <path>, --threads <n> and --help, plus --reps <n> and --check
+/// when `repsAndCheck`. An unknown flag, a flag without its value, a bad
+/// number or --reps 0 prints a message naming the flag and exits 2.
+inline BenchArgs parseArgs(int argc, char** argv, bool repsAndCheck = false) {
+  const auto fail = [](const std::string& message) {
+    std::cerr << "error: " << message << "\n";
+    std::exit(2);
+  };
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--csv" && i + 1 < argc) {
-      args.csvPath = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      args.threads = parseFlag<unsigned>(arg, argv[++i]);
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) fail("missing value for " + arg);
+      return argv[++i];
+    };
+    if (arg == "--csv") {
+      args.csvPath = value();
+    } else if (arg == "--threads") {
+      args.threads = parseFlag<unsigned>(arg, value());
+    } else if (repsAndCheck && arg == "--reps") {
+      args.reps = parseFlag<unsigned>(arg, value());
+      if (args.reps == 0) fail("--reps must be >= 1");
+    } else if (repsAndCheck && arg == "--check") {
+      args.check = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--csv <path>] [--threads <n>]\n";
+      std::cout << "usage: " << argv[0] << " [--csv <path>] [--threads <n>]"
+                << (repsAndCheck ? " [--reps <n>] [--check]" : "") << "\n";
       std::exit(0);
+    } else {
+      fail("unknown option: " + arg);
     }
   }
   return args;

@@ -13,8 +13,9 @@
 #   analyze      scripts/wmsn_analyze.py determinism auditor: R1-R6
 #                ordering/RNG rules + absorbed lint rules + the audited
 #                suppression ledger, then its fixture self-test corpus
-#   docs         scripts/check_docs.sh CLI-flag/documentation drift, then
-#                scripts/check_cli_input.sh (bad numbers exit 2 by name)
+#   docs         scripts/check_docs.sh CLI-flag and bench-binary
+#                documentation drift, then scripts/check_cli_input.sh (bad
+#                numbers and bench flags exit 2 by name)
 #   campaign     scripts/check_campaign.sh kill/resume/crash-containment
 #   perf         scripts/check_perf.sh perf-counter zero-perturbation
 #                (byte-identical stdout/metrics with counters armed) and
@@ -155,6 +156,7 @@ fi
 
 cli="$repo/build-werror/examples/wmsn_cli"
 campaign_cli="$repo/build-werror/examples/wmsn_campaign"
+obs_bench="$repo/build-werror/bench/bench_obs_overhead"
 
 if [ "$quick" -eq 1 ]; then
   note_gate docs SKIP "--quick"
@@ -163,11 +165,11 @@ if [ "$quick" -eq 1 ]; then
   note_gate obs-budget SKIP "--quick"
 else
   # 7. Documentation drift (needs built CLIs; the werror tree has them).
-  if [ -x "$cli" ] && [ -x "$campaign_cli" ]; then
+  if [ -x "$cli" ] && [ -x "$campaign_cli" ] && [ -x "$obs_bench" ]; then
     if docs_out="$(bash "$scriptdir/check_docs.sh" "$cli" "$repo" \
                    "$campaign_cli" 2>&1 &&
                    bash "$scriptdir/check_cli_input.sh" "$cli" \
-                   "$campaign_cli" 2>&1)"; then
+                   "$campaign_cli" "$obs_bench" 2>&1)"; then
       note_gate docs PASS "$(echo "$docs_out" | tail -1)"
     else
       echo "$docs_out"
@@ -214,7 +216,6 @@ else
   # 10. Observability overhead budget: causal tracing must not distort the
   #     experiments it observes. Evaluated on min-of-reps wall time, so a
   #     noisy scheduler costs retries, not false failures.
-  obs_bench="$repo/build-werror/bench/bench_obs_overhead"
   if [ -x "$obs_bench" ]; then
     if obs_out="$("$obs_bench" --reps 5 --check 2>&1)"; then
       note_gate obs-budget PASS "$(echo "$obs_out" | tail -1)"

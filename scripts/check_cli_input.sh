@@ -2,16 +2,21 @@
 # Bad-input check, run from ctest (-L docs) and the docs row of
 # check_all.sh: every malformed number given to wmsn_cli or wmsn_campaign,
 # as a flag or as a campaign spec setting, must exit 2 with a message that
-# names the flag or key. A crash (exit 134), a silent truncation (exit 0)
-# or an "unexpected error" (exit 1) fails the check. A config validation
-# failure (exit 1) is checked too. No message may carry the checkout's
-# absolute path: the same bad input prints the same stderr from any checkout.
+# names the flag or key. So must an unknown flag, a flag without its value
+# and --reps 0 given to bench_obs_overhead (the benches' shared parser). A
+# crash (exit 134), a silent truncation (exit 0) or an "unexpected error"
+# (exit 1) fails the check. A config validation failure (exit 1) is checked
+# too. No message may carry the checkout's absolute path: the same bad input
+# prints the same stderr from any checkout.
 #
 # usage: check_cli_input.sh <path-to-wmsn_cli> <path-to-wmsn_campaign>
+#                           <path-to-bench_obs_overhead>
 set -uo pipefail
 
-cli="${1:?usage: check_cli_input.sh <wmsn_cli> <wmsn_campaign>}"
-campaign="${2:?usage: check_cli_input.sh <wmsn_cli> <wmsn_campaign>}"
+usage="usage: check_cli_input.sh <wmsn_cli> <wmsn_campaign> <bench_obs_overhead>"
+cli="${1:?$usage}"
+campaign="${2:?$usage}"
+obs_bench="${3:?$usage}"
 
 srcdir="$(cd "$(dirname "$0")/.." && pwd)"
 work="$(mktemp -d)"
@@ -70,6 +75,12 @@ expect "sensors" "$campaign" \
 expect "fault" "$campaign" "$(spec round "fault = s1@4294967299")" --dry-run
 expect "fault" "$campaign" \
        "$(spec ordinal "fault = s99999999999999999999@1")" --dry-run
+
+expect "--chek" "$obs_bench" --chek
+expect "--reps" "$obs_bench" --reps 0
+expect "--reps" "$obs_bench" --reps x
+expect "--reps" "$obs_bench" --check --reps
+expect "--csv" "$obs_bench" --csv
 
 if [ "$status" -eq 0 ]; then
   echo "check_cli_input: all $total bad inputs exit with a message naming" \

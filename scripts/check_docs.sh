@@ -2,7 +2,9 @@
 # Documentation drift check, run from ctest (-L docs): every flag each
 # listed binary advertises in --help must be documented in README.md,
 # EXPERIMENTS.md or docs/METRICS.md. Adding a flag without documenting it
-# fails the suite.
+# fails the suite. Every bench_* binary README.md, EXPERIMENTS.md, DESIGN.md,
+# docs/*.md or the verify skill names must be built by bench/CMakeLists.txt
+# (CHANGES.md, ROADMAP.md and the fingerprinted campaigns/ specs are history).
 #
 # usage: check_docs.sh <path-to-binary> <repo-source-dir> [more-binaries...]
 set -euo pipefail
@@ -40,7 +42,31 @@ for bin in "${binaries[@]}"; do
   done
 done
 
+# Every bench_<name>[.cpp] word in the prose docs (bench_util.hpp is the
+# benches' shared header) against the names bench/CMakeLists.txt builds.
+built=$(sed -n 's/^[a-z_]*(\(bench_[a-z0-9_]*\)[ )].*/\1/p' \
+        "$srcdir/bench/CMakeLists.txt" | sort -u)
+[ -n "$built" ] || { echo "check_docs: no bench names found in" \
+                          "bench/CMakeLists.txt" >&2; exit 1; }
+prose=("$srcdir/README.md" "$srcdir/EXPERIMENTS.md" "$srcdir/DESIGN.md"
+       "$srcdir"/docs/*.md "$srcdir/.claude/skills/verify/SKILL.md")
+named=0
+for doc in "${prose[@]}"; do
+  [ -f "$doc" ] || continue
+  refs=$({ grep -oE '(^|[^A-Za-z0-9_.])bench_[a-z0-9_]+(\.[a-z]+)?' "$doc" ||
+           true; } | sed 's/^[^b]*//; /\.hpp$/d; s/\.cpp$//' | sort -u)
+  for ref in $refs; do
+    named=$((named + 1))
+    if ! grep -qxF -- "$ref" <<<"$built"; then
+      echo "check_docs: ${doc#"$srcdir"/} names '$ref', which" \
+           "bench/CMakeLists.txt does not build" >&2
+      status=1
+    fi
+  done
+done
+
 if [ "$status" -eq 0 ]; then
-  echo "check_docs: all $total flags (${#binaries[@]} binaries) are documented"
+  echo "check_docs: all $total flags (${#binaries[@]} binaries) are" \
+       "documented; all $named bench names in the docs are built"
 fi
 exit "$status"

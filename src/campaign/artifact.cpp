@@ -8,6 +8,7 @@
 #include "campaign/stats.hpp"
 #include "util/json.hpp"
 #include "util/require.hpp"
+#include "util/table.hpp"
 
 namespace wmsn::campaign {
 
@@ -64,6 +65,35 @@ struct Cell {
   std::size_t failed = 0;
 };
 
+/// The plan's cells in first-occurrence (plan) order, each with its ok runs
+/// and its count of failed ones. Every planned run must have a record.
+std::vector<Cell> groupCells(const std::vector<PlannedRun>& plan,
+                             const std::map<std::string, RunRecord>& records) {
+  std::vector<Cell> cells;
+  std::map<std::string, std::size_t> cellIndex;
+  for (const PlannedRun& run : plan) {
+    const auto it = records.find(run.id);
+    WMSN_REQUIRE_MSG(it != records.end(),
+                     "campaign artifact is missing run: " + run.id);
+    const auto [ci, inserted] = cellIndex.emplace(run.cell, cells.size());
+    if (inserted) cells.push_back(Cell{run.cell, run.axisLabels, {}, 0});
+    Cell& cell = cells[ci->second];
+    if (it->second.ok())
+      cell.ok.push_back(&it->second);
+    else
+      ++cell.failed;
+  }
+  return cells;
+}
+
+/// `field` aggregated over the cell's ok runs.
+Aggregate cellAggregate(const Cell& cell, const RecordField& field) {
+  std::vector<double> samples;
+  samples.reserve(cell.ok.size());
+  for (const RunRecord* r : cell.ok) samples.push_back(field.number(*r));
+  return aggregate(samples);
+}
+
 int compareAxisIndex(const CampaignSpec& spec) {
   if (spec.compareKey.empty()) return -1;
   for (std::size_t i = 0; i < spec.axes.size(); ++i)
@@ -76,48 +106,32 @@ int compareAxisIndex(const CampaignSpec& spec) {
 std::string renderArtifact(const CampaignSpec& spec,
                            const std::vector<PlannedRun>& plan,
                            const std::map<std::string, RunRecord>& records) {
-  // Group by cell in plan (first-occurrence) order.
-  std::vector<Cell> cells;
-  std::map<std::string, std::size_t> cellIndex;
-  // (context without the compare axis, compare label, seedIndex) -> record
+  const std::vector<Cell> cells = groupCells(plan, records);
+  std::size_t failedTotal = 0;
+  for (const Cell& cell : cells) failedTotal += cell.failed;
+
+  // (context without the compare axis, compare label, seedIndex) -> ok record
   std::map<std::tuple<std::string, std::string, std::uint32_t>,
            const RunRecord*>
       byPair;
   std::vector<std::string> contexts;  // first-occurrence order
   const int compareAxis = compareAxisIndex(spec);
-
-  std::size_t failedTotal = 0;
-  for (const PlannedRun& run : plan) {
-    const auto it = records.find(run.id);
-    WMSN_REQUIRE_MSG(it != records.end(),
-                     "campaign artifact is missing run: " + run.id);
-    const RunRecord& rec = it->second;
-    if (!rec.ok()) ++failedTotal;
-
-    auto [ci, inserted] = cellIndex.emplace(run.cell, cells.size());
-    if (inserted) {
-      cells.push_back(Cell{run.cell, run.axisLabels, {}, 0});
-    }
-    Cell& cell = cells[ci->second];
-    if (rec.ok())
-      cell.ok.push_back(&rec);
-    else
-      ++cell.failed;
-
-    if (compareAxis >= 0) {
+  if (compareAxis >= 0) {
+    for (const Cell& cell : cells) {
       std::string context;
-      for (std::size_t a = 0; a < run.axisLabels.size(); ++a) {
+      for (std::size_t a = 0; a < cell.labels.size(); ++a) {
         if (static_cast<int>(a) == compareAxis) continue;
         if (!context.empty()) context += '/';
-        context += run.axisLabels[a];
+        context += cell.labels[a];
       }
       if (context.empty()) context = "-";
       const std::string& cmpLabel =
-          run.axisLabels[static_cast<std::size_t>(compareAxis)];
+          cell.labels[static_cast<std::size_t>(compareAxis)];
       if (std::find(contexts.begin(), contexts.end(), context) ==
           contexts.end())
         contexts.push_back(context);
-      byPair.emplace(std::make_tuple(context, cmpLabel, run.seedIndex), &rec);
+      for (const RunRecord* r : cell.ok)
+        byPair.emplace(std::make_tuple(context, cmpLabel, r->seedIndex), r);
     }
   }
 
@@ -164,14 +178,10 @@ std::string renderArtifact(const CampaignSpec& spec,
        << ", \"n_failed\": " << cell.failed << ",\n       \"metrics\": {";
     bool firstMetric = true;
     for (const char* name : kCellMetrics) {
-      const RecordField& field = recordField(name);
-      std::vector<double> samples;
-      samples.reserve(cell.ok.size());
-      for (const RunRecord* r : cell.ok) samples.push_back(field.number(*r));
       if (!firstMetric) os << ", ";
       firstMetric = false;
       os << "\n        \"" << name << "\": ";
-      appendAggregate(os, aggregate(samples));
+      appendAggregate(os, cellAggregate(cell, recordField(name)));
     }
     os << "}}";
     os << (c + 1 < cells.size() ? ",\n" : "\n");
@@ -196,7 +206,6 @@ std::string renderArtifact(const CampaignSpec& spec,
             const auto pa = byPair.find(std::make_tuple(context, la, s));
             const auto pb = byPair.find(std::make_tuple(context, lb, s));
             if (pa == byPair.end() || pb == byPair.end()) continue;
-            if (!pa->second->ok() || !pb->second->ok()) continue;
             pairs.emplace_back(pa->second, pb->second);
           }
           os << (firstDelta ? "\n" : ",\n");
@@ -241,6 +250,38 @@ std::string renderArtifact(const CampaignSpec& spec,
   os << (firstDelta ? "]\n" : "\n  ]\n");
   os << "}\n";
   return os.str();
+}
+
+std::string renderCellTable(const std::vector<PlannedRun>& plan,
+                            const std::map<std::string, RunRecord>& records) {
+  const std::vector<Cell> cells = groupCells(plan, records);
+  const auto capturedPerf = [](const Cell& cell) {
+    return std::any_of(cell.ok.begin(), cell.ok.end(),
+                       [](const RunRecord* r) { return r->perfCaptured; });
+  };
+
+  std::vector<const RecordField*> columns;
+  for (const char* name : kCellMetrics) columns.push_back(&recordField(name));
+  if (std::any_of(cells.begin(), cells.end(), capturedPerf))
+    for (const RecordField& field : recordFields())
+      if (field.group == RecordField::Group::kPerf) columns.push_back(&field);
+
+  std::vector<std::string> header{"cell", "n_ok", "n_failed"};
+  for (const RecordField* field : columns) header.emplace_back(field->key);
+  TextTable table(std::move(header));
+  for (const Cell& cell : cells) {
+    std::vector<std::string> row{cell.name, TextTable::num(cell.ok.size()),
+                                 TextTable::num(cell.failed)};
+    for (const RecordField* field : columns) {
+      const bool shown =
+          !cell.ok.empty() &&
+          (field->group != RecordField::Group::kPerf || capturedPerf(cell));
+      row.push_back(shown ? TextTable::num(cellAggregate(cell, *field).mean, 3)
+                          : "-");
+    }
+    table.addRow(std::move(row));
+  }
+  return table.str();
 }
 
 }  // namespace wmsn::campaign

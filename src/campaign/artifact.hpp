@@ -21,4 +21,11 @@ std::string renderArtifact(const CampaignSpec& spec,
                            const std::vector<PlannedRun>& plan,
                            const std::map<std::string, RunRecord>& records);
 
+/// The per-cell table runCampaign prints: one row per cell in plan order with
+/// its ok and failed run counts and, to three decimals, the mean over its ok
+/// runs of each `cells` metric of the artifact, plus each perf field when any
+/// run captured perf ("-" where a cell has no such runs).
+std::string renderCellTable(const std::vector<PlannedRun>& plan,
+                            const std::map<std::string, RunRecord>& records);
+
 }  // namespace wmsn::campaign

@@ -134,6 +134,7 @@ CampaignOutcome runCampaign(const CampaignSpec& spec,
     WMSN_REQUIRE_MSG(out.good(),
                      "failed writing campaign artifact: " + opts.outPath);
   }
+  if (!opts.quiet) std::fputs(renderCellTable(plan, records).c_str(), stdout);
 
   if (!opts.metricsOutPath.empty()) {
     // Seed-order-deterministic merge: iterate the plan (axes outer, seeds

@@ -39,7 +39,8 @@ struct CampaignOutcome {
 /// Expands the spec, executes every not-yet-journaled run across the fork
 /// pool, journals each completion, and (unless stopped early) renders the
 /// deterministic artifact to opts.outPath — plus, when requested, the
-/// seed-order MetricsRegistry merge to opts.metricsOutPath.
+/// seed-order MetricsRegistry merge to opts.metricsOutPath. Unless quiet, it
+/// then prints the per-cell table (renderCellTable) to stdout.
 ///
 /// Worker crashes are contained: the crashed run is recorded as failed and
 /// the campaign completes. Everything written to outPath/metricsOutPath is

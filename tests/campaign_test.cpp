@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <type_traits>
 
 #include "campaign/artifact.hpp"
 #include "campaign/journal.hpp"
@@ -19,8 +21,10 @@
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
 #include "obs/trace_analyze.hpp"
+#include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -487,24 +491,49 @@ TEST(CampaignStats, ExactSignTest) {
 
 // --- artifact determinism --------------------------------------------------
 
-TEST(CampaignArtifact, IndependentOfRecordArrivalOrder) {
-  const auto spec = campaign::parseSpec(kTinySpec);
-  const auto plan = campaign::expand(spec);
+/// The committed smoke spec with one synthesized ok record per run (no
+/// simulation needed to test rendering). Every scalar field of every record
+/// has its own value, so each table column's mean differs.
+struct SmokeRuns {
+  campaign::CampaignSpec spec = campaign::loadSpec(
+      std::string(WMSN_SOURCE_DIR) + "/campaigns/smoke.spec");
+  std::vector<campaign::PlannedRun> plan = campaign::expand(spec);
+  std::map<std::string, RunRecord> records;
 
-  // Synthesize records (no simulation needed to test rendering).
-  std::vector<RunRecord> recs;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    RunRecord r = campaign::makeFailedRecord(plan[i].id, plan[i].cell,
-                                             plan[i].seed, plan[i].seedIndex,
-                                             "");
-    r.status = RunRecord::Status::kOk;
-    r.pdr = 0.5 + 0.01 * static_cast<double>(i);
-    r.meanLatencyMs = 10.0 + static_cast<double>(i);
-    r.lifetimeS = 40.0;
-    recs.push_back(r);
+  SmokeRuns() {
+    double v = 0.0;
+    for (const auto& run : plan) {
+      RunRecord r = campaign::makeFailedRecord(run.id, run.cell, run.seed,
+                                               run.seedIndex, "");
+      r.status = RunRecord::Status::kOk;
+      for (const campaign::RecordField& field : campaign::recordFields())
+        std::visit([&](auto m) { r.*m = static_cast<std::decay_t<decltype(
+                                     r.*m)>>(v += 1.217); },
+                   field.member);
+      r.perfCaptured = false;
+      records.emplace(r.id, r);
+    }
   }
-  std::map<std::string, RunRecord> inOrder;
-  for (const auto& r : recs) inOrder.emplace(r.id, r);
+
+  RunRecord& at(std::size_t i) { return records.at(plan[i].id); }
+
+  /// The rendered table's rows split into trimmed cells; [0] is the header.
+  std::vector<std::vector<std::string>> rows() const {
+    std::vector<std::vector<std::string>> out;
+    std::istringstream lines(campaign::renderCellTable(plan, records));
+    for (std::string line; std::getline(lines, line);) {
+      if (line.empty() || line[0] != '|') continue;
+      const auto cells = splitList(line, '|');
+      out.emplace_back(cells.begin() + 1, cells.end() - 1);
+    }
+    return out;
+  }
+};
+
+TEST(CampaignArtifact, IndependentOfRecordArrivalOrder) {
+  const SmokeRuns s;
+  std::vector<RunRecord> recs;
+  for (const auto& run : s.plan) recs.push_back(s.records.at(run.id));
 
   // Deterministic reorder (reverse + rotate) — any permutation must render
   // the same artifact, since the map and the plan fix the iteration order.
@@ -513,36 +542,100 @@ TEST(CampaignArtifact, IndependentOfRecordArrivalOrder) {
   std::map<std::string, RunRecord> shuffled;
   for (const auto& r : recs) shuffled.emplace(r.id, r);
 
-  const std::string a = campaign::renderArtifact(spec, plan, inOrder);
-  const std::string b = campaign::renderArtifact(spec, plan, shuffled);
+  const std::string a = campaign::renderArtifact(s.spec, s.plan, s.records);
+  const std::string b = campaign::renderArtifact(s.spec, s.plan, shuffled);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"schema\": \"wmsn-campaign-v1\""), std::string::npos);
   EXPECT_NE(a.find("\"deltas\""), std::string::npos);
 
   // A missing run is a hard error, not a silent gap.
-  std::map<std::string, RunRecord> incomplete = inOrder;
-  incomplete.erase(plan[3].id);
-  EXPECT_THROW(campaign::renderArtifact(spec, plan, incomplete),
+  std::map<std::string, RunRecord> incomplete = s.records;
+  incomplete.erase(s.plan[3].id);
+  EXPECT_THROW(campaign::renderArtifact(s.spec, s.plan, incomplete),
                PreconditionError);
 }
 
 TEST(CampaignArtifact, FailedRunsExcludedFromAggregatesButCounted) {
-  const auto spec = campaign::parseSpec(kTinySpec);
-  const auto plan = campaign::expand(spec);
-  std::map<std::string, RunRecord> records;
-  for (const auto& run : plan) {
-    RunRecord r = campaign::makeFailedRecord(run.id, run.cell, run.seed,
-                                             run.seedIndex, "died");
-    if (run.id != plan[0].id) {
-      r.status = RunRecord::Status::kOk;
-      r.error.clear();
-      r.pdr = 0.75;
-    }
-    records.emplace(r.id, r);
-  }
-  const std::string json = campaign::renderArtifact(spec, plan, records);
+  SmokeRuns s;
+  s.at(0) = campaign::makeFailedRecord(s.plan[0].id, s.plan[0].cell,
+                                       s.plan[0].seed, s.plan[0].seedIndex,
+                                       "died");
+  const std::string json = campaign::renderArtifact(s.spec, s.plan, s.records);
   EXPECT_NE(json.find("\"runs_failed\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"n_ok\": 1, \"n_failed\": 1"), std::string::npos);
+  // The failed run's seed drops out of its context's paired deltas.
+  EXPECT_NE(json.find("\"context\": \"baseline\", \"a\": \"spr\", \"b\": "
+                      "\"mlr\", \"pairs\": 1"),
+            std::string::npos);
+}
+
+// --- per-cell table --------------------------------------------------------
+
+TEST(CampaignCellTable, RowsFollowPlanOrder) {
+  const auto rows = SmokeRuns().rows();
+  // Plan order, not name order: the spec sweeps spr before mlr.
+  const std::vector<std::string> expected = {
+      "cell n_ok n_failed", "spr/baseline 2 0", "spr/gw-crash 2 0",
+      "mlr/baseline 2 0", "mlr/gw-crash 2 0"};
+  ASSERT_EQ(rows.size(), expected.size());
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    EXPECT_EQ(rows[r][0] + " " + rows[r][1] + " " + rows[r][2], expected[r]);
+}
+
+TEST(CampaignCellTable, FailedRunIsCountedAndLeftOutOfEveryMean) {
+  SmokeRuns s;
+  s.at(0).status = RunRecord::Status::kFailed;
+  auto rows = s.rows();
+  ASSERT_EQ(rows.size(), 5u);
+  EXPECT_EQ(rows[1][1] + "/" + rows[1][2], "1/1");
+  for (std::size_t c = 3; c < rows[0].size(); ++c)
+    EXPECT_EQ(rows[1][c], TextTable::num(campaign::recordField(rows[0][c])
+                                             .number(s.at(1)), 3)) << rows[0][c];
+
+  // A cell whose runs all failed has no means to show.
+  s.at(1).status = RunRecord::Status::kFailed;
+  rows = s.rows();
+  EXPECT_EQ(rows[1][1] + "/" + rows[1][2], "0/2");
+  for (std::size_t c = 3; c < rows[0].size(); ++c) EXPECT_EQ(rows[1][c], "-");
+}
+
+TEST(CampaignCellTable, PerfColumnsOnlyWhenRunsCapturedPerf) {
+  SmokeRuns s;
+  EXPECT_EQ(s.rows()[0].size(), 3u + 8u);  // the artifact's 8 cell metrics
+
+  // Perf captured in the last cell only: each perf field gets a column, and
+  // the other cells show "-" in it.
+  s.at(6).perfCaptured = s.at(7).perfCaptured = true;
+  const auto rows = s.rows();
+  ASSERT_EQ(rows.size(), 5u);
+  std::size_t c = 11;
+  for (const campaign::RecordField& field : campaign::recordFields()) {
+    if (field.group != campaign::RecordField::Group::kPerf) continue;
+    ASSERT_LT(c, rows[0].size());
+    EXPECT_EQ(rows[0][c], field.key);
+    EXPECT_EQ(rows[1][c] + rows[2][c] + rows[3][c], "---") << field.key;
+    EXPECT_NE(rows[4][c++], "-") << field.key;
+  }
+  EXPECT_EQ(c, rows[0].size());
+}
+
+TEST(CampaignCellTable, EveryMeanIsTheAggregateMean) {
+  SmokeRuns s;
+  for (auto& [id, record] : s.records) record.perfCaptured = true;
+  const auto rows = s.rows();
+  ASSERT_EQ(rows[0].size(), 3u + 8u + 8u);  // 8 cell metrics, 8 perf fields
+  for (std::size_t row = 1; row < rows.size(); ++row) {
+    for (std::size_t c = 3; c < rows[0].size(); ++c) {
+      std::vector<double> samples;
+      for (const auto& run : s.plan)
+        if (run.cell == rows[row][0])
+          samples.push_back(
+              campaign::recordField(rows[0][c]).number(s.records.at(run.id)));
+      EXPECT_EQ(rows[row][c],
+                TextTable::num(campaign::aggregate(samples).mean, 3))
+          << rows[row][0] << " " << rows[0][c];
+    }
+  }
 }
 
 // --- fork pool -------------------------------------------------------------
