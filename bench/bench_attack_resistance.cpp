@@ -6,7 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("ATTACK", "attack-resistance matrix: MLR vs SecMLR",
                 "spoofed/replayed routing info, selective forwarding, "
                 "sinkhole, sybil, wormhole, HELLO flood, ACK spoofing "

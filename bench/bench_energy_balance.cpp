@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("BALANCE", "per-sensor energy balance (eq. 1 objective)",
                 "MLR minimises variance D² subject to minimal total ΣEᵢ "
                 "(§5.3 eqs. (1)–(6))");

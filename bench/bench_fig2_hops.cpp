@@ -97,7 +97,7 @@ HopResult measure(const Fig2Layout& layout,
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("FIG2", "hop counts: single sink vs three gateways",
                 "S1..S4 need 2/7/6/9 hops to one sink but 1/1/1/2 hops to "
                 "three gateways (Fig. 2)");

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("GWSCALE", "hops / energy / lifetime vs gateway count",
                 "more gateways → fewer hops and longer lifetime, saturating "
                 "at K_max (§4.1)");

@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("LIFETIME", "rounds to first sensor death, per protocol",
                 "MLR maximises lifetime; flat/single-sink baselines exhaust "
                 "nodes near the sink first (§1, §5.3)");

@@ -65,7 +65,7 @@ double timeVariant(const Variant& v, unsigned reps, std::uint64_t& events) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parseArgs(argc, argv, /*repsAndCheck=*/true);
+  const auto args = bench::parseArgs(argc, argv, bench::kRepsAndCheck);
 
   bench::banner(
       "OBSOVH", "observability overhead (null sink, metrics, profiler)",

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("PLACE", "planned vs naive gateway placement",
                 "choose gateway locations to minimise total hop cost and "
                 "balance per-node energy (§4.1 deployment model)");

@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("REACTIVE", "PEGASIS chains and TEEN thresholds",
                 "the §2.2.2 hierarchical/reactive baselines, quantified");
 

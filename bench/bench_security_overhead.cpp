@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("SECOVH", "the price of SecMLR's security",
                 "heavyweight computation belongs on gateways; sensors do "
                 "lightweight symmetric crypto only (§6.1, §6.2.4)");

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace wmsn;
-  const auto args = bench::parseArgs(argc, argv);
+  const auto args = bench::parseArgs(argc, argv, bench::kThreads);
   bench::banner("SLEEP", "GAF-style sleep scheduling vs always-on",
                 "duty-cycled dense networks live longer at unchanged "
                 "delivery (§4.4 topology control)");

@@ -18,19 +18,28 @@ namespace wmsn::bench {
 
 struct BenchArgs {
   std::optional<std::string> csvPath;
-  unsigned threads = 0;  ///< 0 = hardware concurrency
-  unsigned reps = 10;    ///< --reps, where parseArgs admits it (>= 1)
-  bool check = false;    ///< --check, where parseArgs admits it
+  unsigned threads = 0;  ///< --threads, where admitted; 0 = all cores
+  unsigned reps = 10;    ///< --reps, where admitted (>= 1)
+  bool check = false;    ///< --check, where admitted
 };
 
-/// Parses --csv <path>, --threads <n> and --help, plus --reps <n> and --check
-/// when `repsAndCheck`. An unknown flag, a flag without its value, a bad
-/// number or --reps 0 prints a message naming the flag and exits 2.
-inline BenchArgs parseArgs(int argc, char** argv, bool repsAndCheck = false) {
+/// Optional flags a bench admits on top of --csv and --help; a bench admits
+/// only the flags it reads.
+enum BenchFlags : unsigned {
+  kThreads = 1,       ///< --threads <n>
+  kRepsAndCheck = 2,  ///< --reps <n> and --check
+};
+
+/// Parses --csv <path> and --help, plus the admitted `flags`. An unknown or
+/// unadmitted flag, a flag without its value, a bad number or --reps 0
+/// prints a message naming the flag and exits 2.
+inline BenchArgs parseArgs(int argc, char** argv, unsigned flags = 0) {
   const auto fail = [](const std::string& message) {
     std::cerr << "error: " << message << "\n";
     std::exit(2);
   };
+  const bool threads = (flags & kThreads) != 0;
+  const bool repsAndCheck = (flags & kRepsAndCheck) != 0;
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -40,7 +49,7 @@ inline BenchArgs parseArgs(int argc, char** argv, bool repsAndCheck = false) {
     };
     if (arg == "--csv") {
       args.csvPath = value();
-    } else if (arg == "--threads") {
+    } else if (threads && arg == "--threads") {
       args.threads = parseFlag<unsigned>(arg, value());
     } else if (repsAndCheck && arg == "--reps") {
       args.reps = parseFlag<unsigned>(arg, value());
@@ -48,7 +57,8 @@ inline BenchArgs parseArgs(int argc, char** argv, bool repsAndCheck = false) {
     } else if (repsAndCheck && arg == "--check") {
       args.check = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0] << " [--csv <path>] [--threads <n>]"
+      std::cout << "usage: " << argv[0] << " [--csv <path>]"
+                << (threads ? " [--threads <n>]" : "")
                 << (repsAndCheck ? " [--reps <n>] [--check]" : "") << "\n";
       std::exit(0);
     } else {

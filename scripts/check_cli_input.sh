@@ -3,9 +3,10 @@
 # check_all.sh: every malformed number given to wmsn_cli or wmsn_campaign,
 # as a flag or as a campaign spec setting, must exit 2 with a message that
 # names the flag or key. So must an unknown flag, a flag without its value
-# and --reps 0 given to bench_obs_overhead (the benches' shared parser). A
-# crash (exit 134), a silent truncation (exit 0) or an "unexpected error"
-# (exit 1) fails the check. A config validation failure (exit 1) is checked
+# and --reps 0 given to bench_obs_overhead (the benches' shared parser), and
+# --threads given to a bench that runs no parallel sweep (those binaries are
+# found next to bench_obs_overhead). A crash (exit 134), a silent truncation
+# (exit 0) or an "unexpected error" (exit 1) fails the check. A config validation failure (exit 1) is checked
 # too. No message may carry the checkout's absolute path: the same bad input
 # prints the same stderr from any checkout.
 #
@@ -81,6 +82,13 @@ expect "--reps" "$obs_bench" --reps 0
 expect "--reps" "$obs_bench" --reps x
 expect "--reps" "$obs_bench" --check --reps
 expect "--csv" "$obs_bench" --csv
+
+# Benches without a parallel sweep do not admit --threads.
+benchdir="$(dirname "$obs_bench")"
+for b in bench_load_balance bench_mesh_tier bench_obs_overhead \
+         bench_robustness bench_routing_overhead bench_table1_mlr; do
+  expect "--threads" "$benchdir/$b" --threads 2
+done
 
 if [ "$status" -eq 0 ]; then
   echo "check_cli_input: all $total bad inputs exit with a message naming" \

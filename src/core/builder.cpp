@@ -1,6 +1,9 @@
 #include "core/builder.hpp"
 
+#include <optional>
+
 #include "core/placement.hpp"
+#include "net/unit_disk.hpp"
 #include "routing/flooding.hpp"
 #include "routing/leach.hpp"
 #include "routing/diffusion.hpp"
@@ -96,7 +99,9 @@ std::unique_ptr<Scenario> assemble(const ScenarioConfig& config,
                                    std::vector<net::Point> feasiblePlaces,
                                    std::vector<std::size_t> initialPlaces,
                                    std::unique_ptr<net::GatewaySchedule>
-                                       schedule) {
+                                       schedule,
+                                   std::optional<net::UnitDiskGraph>
+                                       sensorLinks) {
   auto scenario = std::make_unique<Scenario>();
   ScenarioConfig cfg = config;
 
@@ -138,6 +143,8 @@ std::unique_ptr<Scenario> assemble(const ScenarioConfig& config,
       scenario->simulator, makeRadio(cfg), netParams);
 
   for (const net::Point& p : sensorPositions) scenario->network->addSensor(p);
+  if (sensorLinks)
+    scenario->network->medium().adoptSensorLinks(std::move(*sensorLinks));
   routing::NetworkKnowledge knowledge;
   knowledge.feasiblePlaces = feasiblePlaces;
   for (std::size_t g = 0; g < initialPlaces.size(); ++g) {
@@ -228,13 +235,15 @@ std::unique_ptr<Scenario> buildScenario(const ScenarioConfig& config) {
     // Gateways move between rounds, so the layout must stay routable for
     // ANY placement: the sensor-only graph is one component, and every
     // feasible place is radio-attached to it (a gateway parked at a
-    // detached place could never announce itself).
-    if (!net::sensorsConnected(d.sensors, config.radioRange)) continue;
+    // detached place could never announce itself). The graph that answers
+    // this is the one the medium walks, so it is built once.
+    net::UnitDiskGraph sensorLinks(d.sensors, config.radioRange);
+    if (!sensorLinks.connected()) continue;
     if (!net::placesAttached(places, d.sensors, config.radioRange * 0.9))
       continue;
 
     return assemble(config, std::move(d.sensors), std::move(places),
-                    std::move(initialPlaces), nullptr);
+                    std::move(initialPlaces), nullptr, std::move(sensorLinks));
   }
   throw PreconditionError(
       "no connected layout found for this config; increase density or range");
@@ -252,7 +261,8 @@ std::unique_ptr<Scenario> buildScenarioAt(
   cfg.feasiblePlaceCount = feasiblePlaces.size();
   cfg.validate();
   return assemble(cfg, std::move(sensorPositions), std::move(feasiblePlaces),
-                  std::move(gatewayPlaceOrdinals), std::move(schedule));
+                  std::move(gatewayPlaceOrdinals), std::move(schedule),
+                  std::nullopt);
 }
 
 }  // namespace wmsn::core

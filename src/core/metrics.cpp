@@ -1,6 +1,7 @@
 #include "core/metrics.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "util/stats.hpp"
 
@@ -11,10 +12,13 @@ EnergySummary summarize(const net::SensorNetwork& network,
                         const std::vector<net::NodeId>& ids) {
   EnergySummary out;
   RunningStats stats;
+  // Local, so a summary (and every RunResult holding one) stays O(1) in n.
+  std::vector<double> consumed;
+  consumed.reserve(ids.size());
   for (net::NodeId id : ids) {
     const net::Battery& b = network.node(id).battery();
     const double e = b.consumedJ();
-    out.perSensorJ.push_back(e);
+    consumed.push_back(e);
     out.txJ += b.txJ();
     out.rxJ += b.rxJ();
     out.cpuJ += b.cpuJ();
@@ -28,7 +32,7 @@ EnergySummary summarize(const net::SensorNetwork& network,
   out.stddevJ = stats.stddev();
   out.minJ = stats.min();
   out.maxJ = stats.max();
-  out.jainFairness = jainFairness(out.perSensorJ);
+  out.jainFairness = jainFairness(consumed);
   return out;
 }
 }  // namespace

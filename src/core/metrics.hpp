@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "net/sensor_network.hpp"
 
 namespace wmsn::core {
@@ -19,7 +17,6 @@ struct EnergySummary {
   double txJ = 0.0;
   double rxJ = 0.0;
   double cpuJ = 0.0;
-  std::vector<double> perSensorJ;
 };
 
 /// Scans consumed energy of all SENSOR nodes (gateways are excluded, per the

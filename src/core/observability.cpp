@@ -162,8 +162,10 @@ void fillRegistry(const Scenario& scenario, const RunResult& result,
   auto& consumed = registry.histogram(
       "wmsn_sensor_energy_consumed_fraction",
       {0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}, proto);
-  for (const double e : sensors.perSensorJ)
+  for (const net::NodeId id : network.sensorIds()) {
+    const double e = network.node(id).battery().consumedJ();
     consumed.observe(budget > 0.0 ? e / budget : 0.0);
+  }
 
   // --- routing protocols --------------------------------------------------
   std::uint64_t rejectedMacs = 0, rejectedReplays = 0, rejectedTesla = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/perf_stats.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::net {
@@ -68,6 +67,61 @@ void Medium::releaseReception(std::uint32_t index) {
   if (--receptions_[index].owners == 0) freeReceptions_.push_back(index);
 }
 
+void Medium::addNode(NodeId id, bool gateway) {
+  WMSN_REQUIRE_MSG(hot_ != nullptr, "Medium::setHotState not wired");
+  WMSN_REQUIRE(id == busyUntil_.size() && id < hot_->size());
+  busyUntil_.emplace_back();
+  rxOngoing_.emplace_back();
+  if (gateway) {
+    gateways_.push_back(id);
+    gatewayRows_.emplace_back();
+    if (!sensorLinksStale_) computeGatewayRow(gateways_.size() - 1);
+  } else {
+    sensorLinksStale_ = true;
+  }
+}
+
+void Medium::adoptSensorLinks(UnitDiskGraph links) {
+  WMSN_REQUIRE_MSG(gateways_.empty() && links.size() == busyUntil_.size(),
+                   "the sensor graph must cover exactly the nodes added so "
+                   "far, all sensors");
+  WMSN_REQUIRE_MSG(links.range() == radio_.nominalRange(),
+                   "the sensor graph must link at the radio's range");
+  sensorLinks_ = std::move(links);
+  sensorLinksStale_ = false;
+}
+
+void Medium::gatewayMoved(NodeId id) {
+  const auto gw = std::lower_bound(gateways_.begin(), gateways_.end(), id);
+  WMSN_REQUIRE(gw != gateways_.end() && *gw == id);
+  if (!sensorLinksStale_)
+    computeGatewayRow(static_cast<std::size_t>(gw - gateways_.begin()));
+}
+
+void Medium::refreshLinks() {
+  if (!sensorLinksStale_) return;
+  std::vector<Point> points;
+  points.reserve(hot_->size());
+  for (std::uint32_t id = 0; id < hot_->size(); ++id)
+    points.push_back(Point{hot_->x(id), hot_->y(id)});
+  std::vector<std::uint8_t> isSensor(points.size(), 1);
+  for (const NodeId g : gateways_) isSensor[g] = 0;
+  sensorLinks_ = UnitDiskGraph(points, radio_.nominalRange(), isSensor);
+  sensorLinksStale_ = false;
+  for (std::size_t g = 0; g < gateways_.size(); ++g) computeGatewayRow(g);
+}
+
+void Medium::computeGatewayRow(std::size_t ordinal) {
+  const NodeId id = gateways_[ordinal];
+  const Point at{hot_->x(id), hot_->y(id)};
+  auto& row = gatewayRows_[ordinal];
+  row.clear();
+  sensorLinks_.forEachCandidate(at, [&](std::uint32_t s) {
+    if (radio_.linked(at, Point{hot_->x(s), hot_->y(s)})) row.push_back(s);
+  });
+  std::sort(row.begin(), row.end());
+}
+
 void Medium::transmit(NodeId from, Packet packet) {
   const std::uint32_t retries =
       (params_.unicastArq && packet.hopDst != kBroadcastId)
@@ -80,12 +134,12 @@ void Medium::transmit(NodeId from, Packet packet) {
 
 void Medium::transmitAttempt(NodeId from, const Frame& frame,
                              std::uint32_t retriesLeft) {
-  if (!host_.aliveOf(from)) return;
+  if (!hot_->alive(from)) return;
 
   const Packet& packet = *frame;
   const sim::Time now = simulator_.now();
   const sim::Time end = now + airTime(packet);
-  const Point srcPos = host_.positionOf(from);
+  const Point srcPos{hot_->x(from), hot_->y(from)};
   const std::size_t bits = packet.sizeBits();
 
   ++framesTransmitted_;
@@ -98,24 +152,14 @@ void Medium::transmitAttempt(NodeId from, const Frame& frame,
                packet.hopDst, obs::TraceDropReason::kNone, retriesLeft,
                static_cast<std::uint32_t>(packet.sizeBytes()));
 
-  WMSN_REQUIRE_MSG(hot_ != nullptr, "Medium::setHotState not wired");
-  const std::size_t n = host_.nodeCount();
-  if (busyUntil_.size() < n) busyUntil_.resize(n, sim::Time{});
-  if (rxOngoing_.size() < n) rxOngoing_.resize(n);
-
-  // Candidate receivers from the spatial grid: everyone whose cell
-  // intersects the transmit disk, ascending by id so draw order matches the
-  // old 0..n-1 scan byte for byte.
-  hot_->grid().query(srcPos.x, srcPos.y, radio_.nominalRange(), scratch_);
-  WMSN_PERF(kGridQueries);
-  WMSN_PERF(kPairsExamined, scratch_.size());
-  for (const std::uint32_t rx : scratch_) {
-    if (!radio_.linked(srcPos, Point{hot_->x(rx), hot_->y(rx)})) continue;
+  // Receivers ascending by id, so draw order matches the old 0..n-1 scan
+  // byte for byte.
+  forEachInRange(from, [&](const std::uint32_t rx) {
     // Every radio in range hears energy on the channel — including the
     // sender itself and nodes that are asleep, failed, or dead. Carrier
     // sense is about the channel, not about who can decode.
     if (busyUntil_[rx] < end) busyUntil_[rx] = end;
-    if (rx == from || !host_.listeningOf(rx)) continue;
+    if (rx == from || !hot_->listening(rx)) return;
 
     auto& ongoing = rxOngoing_[rx];
     std::erase_if(ongoing, [&](std::uint32_t r) {
@@ -141,7 +185,7 @@ void Medium::transmitAttempt(NodeId from, const Frame& frame,
     ongoing.push_back(reception);
 
     const double pDeliver =
-        radio_.deliveryProbability(srcPos, host_.positionOf(rx));
+        radio_.deliveryProbability(srcPos, Point{hot_->x(rx), hot_->y(rx)});
     WMSN_PERF(kRngDraws);
     const bool channelOk = rng_.chance(pDeliver);
     // Bursty fault-injection loss rides on top of the distance-based channel
@@ -157,7 +201,7 @@ void Medium::transmitAttempt(NodeId from, const Frame& frame,
       const bool corrupted = receptions_[reception].corrupted;
       releaseReception(reception);
       const bool isArqTarget = packet.hopDst == rx;
-      const bool rxAlive = host_.listeningOf(rx);
+      const bool rxAlive = hot_->listening(rx);
       const bool decoded = rxAlive && !corrupted && channelOk && linkOk;
       if (rxAlive) {
         // The radio listened for the whole frame either way.
@@ -208,13 +252,14 @@ void Medium::transmitAttempt(NodeId from, const Frame& frame,
         return;
       host_.deliverFrame(rx, packet, packet.hopSrc);
     });
-  }
+  });
 }
 
 void Medium::transmitLongRange(NodeId from, NodeId to, Packet packet) {
-  if (!host_.aliveOf(from)) return;
+  if (!hot_->alive(from)) return;
   const sim::Time end = simulator_.now() + airTime(packet);
-  const double d = distance(host_.positionOf(from), host_.positionOf(to));
+  const double d = distance(Point{hot_->x(from), hot_->y(from)},
+                            Point{hot_->x(to), hot_->y(to)});
   const std::size_t bits = packet.sizeBits();
 
   packet.hopSrc = from;
@@ -226,7 +271,7 @@ void Medium::transmitLongRange(NodeId from, NodeId to, Packet packet) {
 
   simulator_.scheduleAt(
       end, [this, to, frame = std::make_shared<const Packet>(std::move(packet))] {
-        if (!host_.listeningOf(to)) return;
+        if (!hot_->listening(to)) return;
         host_.chargeRx(to, energy_.rxCost(frame->sizeBits()));
         host_.deliverFrame(to, *frame, frame->hopSrc);
       });

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -10,25 +12,22 @@
 #include "net/energy.hpp"
 #include "net/packet.hpp"
 #include "net/radio.hpp"
+#include "net/unit_disk.hpp"
 #include "obs/packet_trace.hpp"
+#include "obs/perf_stats.hpp"
 #include "sim/node_state.hpp"
 #include "sim/simulator.hpp"
 #include "util/random.hpp"
 
 namespace wmsn::net {
 
-/// What the medium needs to know about the node population. Implemented by
-/// SensorNetwork; keeps Medium free of ownership cycles.
+/// What the medium reports back to the node population: energy charges,
+/// decoded frames and traffic accounting. Implemented by SensorNetwork;
+/// keeps Medium free of ownership cycles. Positions and liveness the medium
+/// reads straight from the sim::NodeStateBlock (see setHotState).
 class MediumHost {
  public:
   virtual ~MediumHost() = default;
-
-  virtual std::size_t nodeCount() const = 0;
-  virtual Point positionOf(NodeId id) const = 0;
-  virtual bool aliveOf(NodeId id) const = 0;
-  /// Alive AND radio on — frames only reach listening nodes (§4.4 sleep
-  /// scheduling turns radios off).
-  virtual bool listeningOf(NodeId id) const = 0;
 
   /// Energy charges; the host applies them to the node's battery and handles
   /// node death.
@@ -68,9 +67,11 @@ struct MediumParams {
 /// the host delivers the frame to those the addressing matches — which is
 /// exactly what lets routing protocols overhear and adversaries eavesdrop.
 ///
-/// In-range candidates come from the network's sim::SpatialGrid (wired in
-/// via setHotState right after construction), so a transmission costs O(k)
-/// in the local neighborhood instead of the O(n) all-nodes sweep it used to.
+/// Who hears whom is precomputed (docs/KERNEL.md "Static adjacency").
+/// Sensors never move and all transmit at one power, so their exact
+/// unit-disk graph is built once per layout; a moving gateway's row of
+/// in-range sensors is recomputed when it moves. A transmission walks the
+/// sender's row merged with the few gateways, O(k) in the neighbourhood.
 /// Carrier sense and collision state are per-node — a busy-until horizon and
 /// a per-receiver reception list — so neither ever scans a global vector.
 class Medium {
@@ -79,10 +80,29 @@ class Medium {
          const EnergyParams& energy, MediumHost& host, MediumParams params,
          Rng rng);
 
-  /// Wires in the struct-of-arrays hot state (positions + spatial grid).
-  /// Must be set before the first transmit; SensorNetwork does so in its
-  /// constructor.
+  /// Wires in the struct-of-arrays hot state (positions and liveness).
+  /// Must be set before the first node is added; SensorNetwork does so in
+  /// its constructor.
   void setHotState(const sim::NodeStateBlock* hot) { hot_ = hot; }
+
+  /// Registers the node the hot state just added as `id`. Adding a sensor
+  /// after the sensor graph was built marks it for a rebuild before the next
+  /// transmission (hand-built networks add nodes in any order).
+  void addNode(NodeId id, bool gateway);
+
+  /// Adopts the exact sensor graph of this layout, built over nodes
+  /// 0..size()-1 — every node added so far, all of them sensors — at the
+  /// radio's nominal range. The scenario builder computes it anyway to
+  /// check connectivity, so set-up runs the cell pass once.
+  void adoptSensorLinks(UnitDiskGraph links);
+
+  /// Recomputes gateway `id`'s row of in-range sensors after it moved.
+  void gatewayMoved(NodeId id);
+
+  /// Calls fn(id) for every node within radio range of `from` — `from`
+  /// itself included, dead, failed and asleep ones too — ascending by id.
+  template <typename Fn>
+  void forEachInRange(NodeId from, Fn&& fn);
 
   /// Begin transmitting `packet` from node `from` at fixed power (nominal
   /// range). Delivery callbacks fire when the frame's air time elapses.
@@ -139,6 +159,10 @@ class Medium {
   std::uint32_t acquireReception(sim::Time start, sim::Time end);
   void releaseReception(std::uint32_t index);
   fault::GilbertElliottChain& chainFor(NodeId rx);
+  /// Rebuilds the sensor graph and every gateway row if a sensor was added
+  /// since the last build.
+  void refreshLinks();
+  void computeGatewayRow(std::size_t ordinal);
 
   sim::Simulator& simulator_;
   const RadioModel& radio_;
@@ -159,8 +183,13 @@ class Medium {
   /// Per-receiver in-flight receptions, as receptions_ indices. Expired
   /// entries are pruned inline whenever a receiver gains a new reception.
   std::vector<std::vector<std::uint32_t>> rxOngoing_;
-  /// Scratch for grid candidate queries — reused across transmissions.
-  std::vector<std::uint32_t> scratch_;
+  /// Exact sensor-to-sensor graph (CSR, rows ascending, self included).
+  UnitDiskGraph sensorLinks_;
+  bool sensorLinksStale_ = false;
+  std::vector<NodeId> gateways_;  ///< ascending (ids arrive in order)
+  /// Per gateway ordinal: the sensors in range of its current position,
+  /// ascending. Gateway-to-gateway links are tested per transmission.
+  std::vector<std::vector<std::uint32_t>> gatewayRows_;
   std::unordered_set<NodeId> promiscuous_;
   std::uint64_t framesTransmitted_ = 0;
   std::uint64_t framesCorrupted_ = 0;
@@ -168,5 +197,40 @@ class Medium {
   std::unordered_map<NodeId, fault::GilbertElliottChain> linkChains_;
   std::uint64_t framesLinkFaultDropped_ = 0;
 };
+
+template <typename Fn>
+void Medium::forEachInRange(NodeId from, Fn&& fn) {
+  refreshLinks();
+  const Point at{hot_->x(from), hot_->y(from)};
+  const auto gw = std::lower_bound(gateways_.begin(), gateways_.end(), from);
+  const std::span<const std::uint32_t> row =
+      (gw != gateways_.end() && *gw == from)
+          ? std::span<const std::uint32_t>(
+                gatewayRows_[static_cast<std::size_t>(gw - gateways_.begin())])
+          : sensorLinks_.row(from);
+  WMSN_PERF(kGridQueries);
+  WMSN_PERF(kPairsExamined, row.size() + gateways_.size());
+  // Two-pointer merge of the row with the gateways in range, so the walk
+  // is ascending by id whatever the order of sensor and gateway ids.
+  std::size_t g = 0;
+  const auto nextGatewayInRange = [&] {
+    while (g < gateways_.size() &&
+           !radio_.linked(at, Point{hot_->x(gateways_[g]),
+                                    hot_->y(gateways_[g])}))
+      ++g;
+  };
+  nextGatewayInRange();
+  for (const std::uint32_t id : row) {
+    while (g < gateways_.size() && gateways_[g] < id) {
+      fn(gateways_[g++]);
+      nextGatewayInRange();
+    }
+    fn(id);
+  }
+  while (g < gateways_.size()) {
+    fn(gateways_[g++]);
+    nextGatewayInRange();
+  }
+}
 
 }  // namespace wmsn::net

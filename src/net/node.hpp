@@ -35,8 +35,9 @@ class Node {
   NodeKind kind() const { return kind_; }
   bool isGateway() const { return kind_ == NodeKind::kGateway; }
 
+  /// Moved only by SensorNetwork::setGatewayPosition (§5.1: sensors are
+  /// static), which keeps the medium's adjacency rows in step.
   Point position() const { return Point{block_->x(id_), block_->y(id_)}; }
-  void setPosition(Point p) { block_->setPosition(id_, p.x, p.y); }
 
   Battery& battery() { return (*batteries_)[id_]; }
   const Battery& battery() const { return (*batteries_)[id_]; }

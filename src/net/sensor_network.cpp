@@ -14,9 +14,6 @@ SensorNetwork::SensorNetwork(sim::Simulator& simulator,
       radio_(std::move(radio)),
       params_(params),
       rng_(params.seed),
-      // Grid cells sized to the radio's nominal range: a range query then
-      // touches at most a 3×3 cell block (docs/KERNEL.md).
-      block_(this->radio_->nominalRange()),
       tracer_(params.trace) {
   WMSN_REQUIRE(radio_ != nullptr);
   medium_ = std::make_unique<Medium>(simulator_, *radio_, params_.energy,
@@ -29,6 +26,7 @@ NodeId SensorNetwork::addNode(NodeKind kind, Point position) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   const NodeId slot = block_.add(position.x, position.y);
   WMSN_REQUIRE(slot == id);
+  medium_->addNode(id, kind == NodeKind::kGateway);
   batteries_.push_back(
       (kind == NodeKind::kSensor || params_.gatewaysBatteryLimited)
           ? Battery(params_.energy.initialEnergyJ)
@@ -73,17 +71,11 @@ const Node& SensorNetwork::node(NodeId id) const {
 
 std::vector<NodeId> SensorNetwork::neighborsOf(NodeId id) const {
   WMSN_REQUIRE(id < nodes_.size());
-  const Point here{block_.x(id), block_.y(id)};
   WMSN_PERF(kNeighborScans);
-  block_.grid().query(here.x, here.y, radio_->nominalRange(), queryScratch_);
-  WMSN_PERF(kGridQueries);
-  WMSN_PERF(kPairsExamined, queryScratch_.size());
   std::vector<NodeId> out;
-  for (const std::uint32_t other : queryScratch_) {
-    if (other == id || !block_.alive(other)) continue;
-    if (radio_->linked(here, Point{block_.x(other), block_.y(other)}))
-      out.push_back(other);
-  }
+  medium_->forEachInRange(id, [&](std::uint32_t other) {
+    if (other != id && block_.alive(other)) out.push_back(other);
+  });
   return out;
 }
 
@@ -161,23 +153,16 @@ void SensorNetwork::chargeCrypto(NodeId id, std::size_t bytes) {
 void SensorNetwork::setGatewayPosition(NodeId id, Point position) {
   Node& n = node(id);
   WMSN_REQUIRE_MSG(n.isGateway(), "only gateways move (§5.1)");
-  n.setPosition(position);
-}
-
-Point SensorNetwork::positionOf(NodeId id) const { return node(id).position(); }
-
-bool SensorNetwork::aliveOf(NodeId id) const { return node(id).alive(); }
-
-bool SensorNetwork::listeningOf(NodeId id) const {
-  return node(id).listening();
+  block_.setPosition(id, position.x, position.y);
+  medium_->gatewayMoved(id);
 }
 
 void SensorNetwork::chargeTx(NodeId id, double joules) {
-  if (!nodes_[id]->battery().drawTx(joules)) handleDeath(id);
+  if (!batteries_[id].drawTx(joules)) handleDeath(id);
 }
 
 void SensorNetwork::chargeRx(NodeId id, double joules) {
-  if (!nodes_[id]->battery().drawRx(joules)) handleDeath(id);
+  if (!batteries_[id].drawRx(joules)) handleDeath(id);
 }
 
 void SensorNetwork::handleDeath(NodeId id) {

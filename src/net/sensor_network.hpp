@@ -55,9 +55,9 @@ class SensorNetwork final : public MediumHost {
   const std::vector<NodeId>& sensorIds() const { return sensorIds_; }
   const std::vector<NodeId>& gatewayIds() const { return gatewayIds_; }
 
-  /// Alive nodes currently within radio range of `id` (excluding itself).
-  /// Served from the spatial grid: candidates come from the cells the radio
-  /// disk touches, then the exact RadioModel::linked predicate filters them.
+  /// Alive nodes currently within radio range of `id` (excluding itself),
+  /// ascending. Read from the medium's adjacency rows — the same rows frame
+  /// delivery walks.
   std::vector<NodeId> neighborsOf(NodeId id) const;
 
   /// The active set (sorted ascending): nodes that are neither battery-dead
@@ -67,8 +67,8 @@ class SensorNetwork final : public MediumHost {
     return block_.activeIds();
   }
 
-  /// The struct-of-arrays hot state (positions, flags, spatial grid) the
-  /// kernel sweeps. Exposed read-only for diagnostics and tests.
+  /// The struct-of-arrays hot state (positions and flags) the kernel
+  /// sweeps. Exposed read-only for diagnostics and tests.
   const sim::NodeStateBlock& hotState() const { return block_; }
 
   /// True if every alive node can reach some gateway over alive nodes.
@@ -143,10 +143,6 @@ class SensorNetwork final : public MediumHost {
   void setGatewayPosition(NodeId id, Point position);
 
   // --- MediumHost ---------------------------------------------------------
-  std::size_t nodeCount() const override { return nodes_.size(); }
-  Point positionOf(NodeId id) const override;
-  bool aliveOf(NodeId id) const override;
-  bool listeningOf(NodeId id) const override;
   void chargeTx(NodeId id, double joules) override;
   void chargeRx(NodeId id, double joules) override;
   void deliverFrame(NodeId to, const Packet& packet, NodeId from) override;
@@ -161,7 +157,7 @@ class SensorNetwork final : public MediumHost {
   std::unique_ptr<RadioModel> radio_;
   SensorNetworkParams params_;
   Rng rng_;
-  /// Hot per-node state (position, liveness flags, grid, active set) in
+  /// Hot per-node state (position, liveness flags, active set) in
   /// struct-of-arrays layout; nodes_ entries are views over it.
   sim::NodeStateBlock block_;
   std::vector<Battery> batteries_;
@@ -169,7 +165,6 @@ class SensorNetwork final : public MediumHost {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<NodeId> sensorIds_;
   std::vector<NodeId> gatewayIds_;
-  mutable std::vector<std::uint32_t> queryScratch_;
   TrafficStats stats_;
   obs::PacketTracer tracer_;
   std::uint64_t uidCounter_ = 0;

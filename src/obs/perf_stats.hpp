@@ -21,14 +21,14 @@ enum class PerfCounter : std::uint8_t {
   kFramesReceived,      ///< frames delivered to a node's receive handler
   kMacBackoffs,         ///< CSMA backoff iterations (channel sensed busy)
   kNeighborScans,       ///< neighborsOf range queries
-  kPairsExamined,       ///< grid candidates examined by range queries —
-                        ///< O(n·k) since the spatial index replaced the
-                        ///< all-pairs scans (ROADMAP item 1)
+  kPairsExamined,       ///< adjacency-row entries walked (row plus the
+                        ///< gateways tested) by transmissions and
+                        ///< neighborsOf — O(k) per walk
   kRngDraws,            ///< hot-path RNG draws (channel, jitter, backoff)
   kRouteMutations,      ///< MLR place-table entry writes
   kObserverDispatches,  ///< ObserverMux handler invocations
-  kGridQueries,         ///< SpatialGrid candidate queries (medium delivery
-                        ///< and neighborsOf)
+  kGridQueries,         ///< adjacency-row walks (one per transmission
+                        ///< and per neighborsOf call)
 };
 inline constexpr std::size_t kPerfCounterCount = 11;
 

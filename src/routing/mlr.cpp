@@ -16,11 +16,34 @@ std::uint64_t advertKey(std::uint16_t gateway, std::uint32_t round) {
 }
 }  // namespace
 
+std::uint16_t PlaceOccupancy::at(std::uint16_t place) const {
+  WMSN_REQUIRE_MSG(contains(place), "place is not occupied");
+  return static_cast<std::uint16_t>(slots_[place]);
+}
+
+void PlaceOccupancy::set(std::uint16_t place, std::uint16_t gateway) {
+  WMSN_REQUIRE(place < slots_.size());
+  if (slots_[place] == kFree) ++count_;
+  slots_[place] = gateway;
+}
+
+void PlaceOccupancy::erase(std::uint16_t place) {
+  if (!contains(place)) return;
+  slots_[place] = kFree;
+  --count_;
+}
+
+void PlaceOccupancy::clear() {
+  slots_.assign(slots_.size(), kFree);
+  count_ = 0;
+}
+
 MlrRouting::MlrRouting(net::SensorNetwork& network, net::NodeId self,
                        const NetworkKnowledge& knowledge, MlrParams params)
-    : RoutingProtocol(network, self, knowledge), params_(params) {
-  table_.resize(knowledge.feasiblePlaces.size());
-}
+    : RoutingProtocol(network, self, knowledge),
+      params_(params),
+      table_(knowledge.feasiblePlaces.size()),
+      occupiedBy_(knowledge.feasiblePlaces.size()) {}
 
 void MlrRouting::onRoundStart(std::uint32_t round) {
   WMSN_INVARIANT_MSG(
@@ -60,9 +83,8 @@ void MlrRouting::evictStaleGateways(std::uint32_t round) {
         heard == lastHeardRound_.end() ? 0 : heard->second;
     if (gw != self() && last + params_.staleAfterRounds < round) {
       const std::uint16_t place = it->second;
-      auto occ = occupiedBy_.find(place);
-      if (occ != occupiedBy_.end() && occ->second == gw)
-        occupiedBy_.erase(occ);
+      if (occupiedBy_.contains(place) && occupiedBy_.at(place) == gw)
+        occupiedBy_.erase(place);
       it = placeOfGw_.erase(it);
       WMSN_TRACE(network().tracer(), obs::TraceSpanKind::kGatewayEvict,
                  now().us, 0, static_cast<std::uint32_t>(self()), gw,
@@ -89,7 +111,6 @@ std::optional<std::uint16_t> MlrRouting::selectedPlace() const {
   std::optional<std::uint16_t> best;
   double bestCost = std::numeric_limits<double>::max();
   for (const auto& [place, gw] : occupiedBy_) {
-    (void)gw;
     const PlaceEntry& e = table_[place];
     if (!e.known) continue;
     double cost = e.hops;
@@ -99,7 +120,7 @@ std::optional<std::uint16_t> MlrRouting::selectedPlace() const {
     // threshold (a gateway exactly at the threshold pays nothing), which
     // damps the shed-everything/ping-pong oscillation a flat penalty causes.
     if (params_.loadAdvisoryThreshold > 0) {
-      const auto advisory = advisories_.find(occupiedBy_.at(place));
+      const auto advisory = advisories_.find(gw);
       if (advisory != advisories_.end() && advisory->second.round == round_) {
         const double excess =
             std::max(0.0,
@@ -149,7 +170,7 @@ void MlrRouting::announceMove(std::uint16_t newPlace, std::uint16_t prevPlace,
   msg.hopCount = 0;
   // Update our own view so data addressed here is recognised.
   if (prevPlace != kNoPlace) occupiedBy_.erase(prevPlace);
-  occupiedBy_[newPlace] = msg.gateway;
+  occupiedBy_.set(newPlace, msg.gateway);
   placeOfGw_[msg.gateway] = newPlace;
   advertised_[advertKey(msg.gateway, round)] = 0;
   sendBroadcast(makePacket(net::PacketKind::kGatewayMove, net::kBroadcastId,
@@ -189,18 +210,19 @@ void MlrRouting::applyMove(const GatewayMoveMsg& msg, net::NodeId from,
   if (msg.newPlace >= table_.size()) return;  // malformed
   if (msg.gateway == self()) return;
 
-  // Freshness for the failover staleness check (monotone: late-arriving
-  // re-floods of an old announcement must not rejuvenate a dead gateway).
-  auto& heard = lastHeardRound_[msg.gateway];
-  heard = std::max(heard, msg.round);
+  // Freshness for the failover staleness check, its only reader (monotone:
+  // late-arriving re-floods of an old announcement must not rejuvenate a
+  // dead gateway).
+  if (params_.failover) {
+    auto& heard = lastHeardRound_[msg.gateway];
+    heard = std::max(heard, msg.round);
+  }
 
   // Occupancy bookkeeping: where each gateway now is.
-  if (msg.prevPlace != kNoPlace) {
-    auto it = occupiedBy_.find(msg.prevPlace);
-    if (it != occupiedBy_.end() && it->second == msg.gateway)
-      occupiedBy_.erase(it);
-  }
-  occupiedBy_[msg.newPlace] = msg.gateway;
+  if (occupiedBy_.contains(msg.prevPlace) &&
+      occupiedBy_.at(msg.prevPlace) == msg.gateway)
+    occupiedBy_.erase(msg.prevPlace);
+  occupiedBy_.set(msg.newPlace, msg.gateway);
   placeOfGw_[msg.gateway] = msg.newPlace;
 
   // Incremental table update (§5.3 step 2). Equal-cost updates refresh the

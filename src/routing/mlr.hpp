@@ -4,10 +4,12 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "routing/messages.hpp"
 #include "routing/protocol.hpp"
+#include "util/flat_map.hpp"
 
 namespace wmsn::routing {
 
@@ -52,6 +54,62 @@ struct MlrParams {
   std::uint32_t maxReroutes = 2;
   /// Capacity of the park-until-routable origination buffer.
   std::size_t deferredCapacity = 32;
+};
+
+/// Which gateway occupies each feasible place (§5.3): one slot per place,
+/// since |P| is fixed per scenario and every place on the wire is checked
+/// against it. Iteration visits occupied places ascending and yields
+/// (place, gateway) pairs — the order a std::map keyed by place gives.
+class PlaceOccupancy {
+ public:
+  using value_type = std::pair<std::uint16_t, std::uint16_t>;
+
+  class const_iterator {
+   public:
+    value_type operator*() const {
+      return {static_cast<std::uint16_t>(place_),
+              static_cast<std::uint16_t>((*slots_)[place_])};
+    }
+    const_iterator& operator++() {
+      place_ = nextOccupied(*slots_, place_ + 1);
+      return *this;
+    }
+    friend bool operator==(const const_iterator&,
+                           const const_iterator&) = default;
+
+   private:
+    friend class PlaceOccupancy;
+    const_iterator(const std::vector<std::uint32_t>* slots, std::size_t place)
+        : slots_(slots), place_(place) {}
+    const std::vector<std::uint32_t>* slots_ = nullptr;
+    std::size_t place_ = 0;
+  };
+
+  explicit PlaceOccupancy(std::size_t places) : slots_(places, kFree) {}
+
+  const_iterator begin() const { return {&slots_, nextOccupied(slots_, 0)}; }
+  const_iterator end() const { return {&slots_, slots_.size()}; }
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  bool contains(std::uint16_t place) const {
+    return place < slots_.size() && slots_[place] != kFree;
+  }
+  std::uint16_t at(std::uint16_t place) const;
+  void set(std::uint16_t place, std::uint16_t gateway);
+  /// Frees `place`; a free or out-of-range place is left as it is.
+  void erase(std::uint16_t place);
+  void clear();
+
+ private:
+  static constexpr std::uint32_t kFree = 0xffffffffu;
+  static std::size_t nextOccupied(const std::vector<std::uint32_t>& slots,
+                                  std::size_t place) {
+    while (place < slots.size() && slots[place] == kFree) ++place;
+    return place;
+  }
+
+  std::vector<std::uint32_t> slots_;  ///< gateway by place, or kFree
+  std::size_t count_ = 0;
 };
 
 /// MLR — Maximal network Lifetime Routing (§5.3). Gateways move among |P|
@@ -105,9 +163,7 @@ class MlrRouting : public RoutingProtocol {
     net::NodeId nextHop = net::kNoNode;
   };
   const std::vector<PlaceEntry>& placeTable() const { return table_; }
-  const std::map<std::uint16_t, std::uint16_t>& occupancy() const {
-    return occupiedBy_;
-  }
+  const PlaceOccupancy& occupancy() const { return occupiedBy_; }
   /// The place the node would route to right now (min hops over occupied
   /// places), if any.
   std::optional<std::uint16_t> selectedPlace() const;
@@ -163,11 +219,13 @@ class MlrRouting : public RoutingProtocol {
   MlrParams params_;
   std::uint32_t round_ = 0;
   std::vector<PlaceEntry> table_;
-  std::map<std::uint16_t, std::uint16_t> occupiedBy_;   ///< place → gateway
-  std::map<std::uint16_t, std::uint16_t> placeOfGw_;    ///< gateway → place
+  PlaceOccupancy occupiedBy_;                         ///< place → gateway
+  FlatMap<std::uint16_t, std::uint16_t> placeOfGw_;   ///< gateway → place
   /// Best hop count already re-flooded per (gateway<<32|round) — the
   /// rebroadcast-on-improvement rule that makes the flood a proper BFS.
-  std::unordered_map<std::uint64_t, std::uint16_t> advertised_;
+  /// Every round a gateway announces stays keyed, so a late re-flood of an
+  /// older round still finds its own entry.
+  FlatMap<std::uint64_t, std::uint16_t> advertised_;
   std::unordered_map<std::uint64_t, PendingAck> pendingAcks_;
   std::uint32_t seq_ = 0;
   std::uint16_t myPlace_ = kNoPlace;  ///< gateway side
@@ -191,7 +249,7 @@ class MlrRouting : public RoutingProtocol {
   // Failover: last round each gateway was heard announcing, and readings
   // parked while no gateway is routable (kept with their uid so delayed
   // delivery still counts in PDR).
-  std::map<std::uint16_t, std::uint32_t> lastHeardRound_;
+  FlatMap<std::uint16_t, std::uint32_t> lastHeardRound_;
   struct Deferred {
     std::uint64_t uid = 0;
     std::uint32_t seq = 0;

@@ -133,7 +133,7 @@ void SecMlrRouting::announceMove(std::uint16_t newPlace,
   WMSN_REQUIRE_MSG(isGateway(), "announceMove is gateway-side");
   myPlace_ = newPlace;
   if (prevPlace != kNoPlace) occupiedBy_.erase(prevPlace);
-  occupiedBy_[newPlace] = static_cast<std::uint16_t>(self());
+  occupiedBy_.set(newPlace, static_cast<std::uint16_t>(self()));
   placeOfGw_[static_cast<std::uint16_t>(self())] = newPlace;
 
   // TESLA cannot sign in interval 0 (its key is the public commitment);

@@ -21,7 +21,7 @@ void retireGeneration(std::uint32_t& generation) {
 
 }  // namespace
 
-EventId EventQueue::push(Time time, Action action) {
+EventId EventQueue::push(Time time, Action&& action) {
   WMSN_REQUIRE(static_cast<bool>(action));
   std::uint32_t slot = freeHead_;
   if (slot == kNoSlot) {

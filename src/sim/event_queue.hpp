@@ -41,7 +41,7 @@ class EventQueue {
   };
 
   /// Requires a non-empty action.
-  EventId push(Time time, Action action);
+  EventId push(Time time, Action&& action);
 
   /// Cancels a pending event and destroys its action. Returns false if the
   /// id was never scheduled or already fired/cancelled.

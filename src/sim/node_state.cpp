@@ -9,7 +9,6 @@ std::uint32_t NodeStateBlock::add(double x, double y) {
   xs_.push_back(x);
   ys_.push_back(y);
   flags_.push_back(0);
-  grid_.insert(id, x, y);
   activeDirty_ = true;
   return id;
 }
@@ -18,7 +17,6 @@ void NodeStateBlock::setPosition(std::uint32_t id, double x, double y) {
   WMSN_REQUIRE(id < xs_.size());
   xs_[id] = x;
   ys_[id] = y;
-  grid_.move(id, x, y);
 }
 
 void NodeStateBlock::setDead(std::uint32_t id) {

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/spatial_grid.hpp"
-
 namespace wmsn::sim {
 
 /// Struct-of-arrays hot state for the node population: position and
@@ -13,15 +11,13 @@ namespace wmsn::sim {
 /// instead of chasing one heap allocation per node. Owned by the network;
 /// net::Node instances are thin views over one slot each.
 ///
-/// The block also owns the SpatialGrid (kept in sync on every position
-/// change) and the *active set* — the sorted ids of nodes that are neither
-/// battery-dead nor fault-crashed. The round loop steps exactly this set,
-/// so idle corpses cost nothing (ROADMAP item 1). Sleeping nodes stay in
-/// the active set: a duty-cycled sensor still wakes to transmit (§4.4).
+/// The block also owns the *active set* — the sorted ids of nodes that are
+/// neither battery-dead nor fault-crashed. The round loop steps exactly
+/// this set, so idle corpses cost nothing (ROADMAP item 1). Sleeping nodes
+/// stay in the active set: a duty-cycled sensor still wakes to transmit
+/// (§4.4).
 class NodeStateBlock {
  public:
-  explicit NodeStateBlock(double cellSize) : grid_(cellSize) {}
-
   std::uint32_t add(double x, double y);
   std::size_t size() const { return xs_.size(); }
 
@@ -50,8 +46,6 @@ class NodeStateBlock {
     return (flags_[id] & (kDead | kFailed | kSleeping)) == 0;
   }
 
-  const SpatialGrid& grid() const { return grid_; }
-
   /// Ids of nodes that take part in round stepping (alive — dead and failed
   /// nodes are excluded; sleeping ones are not). Sorted ascending; rebuilt
   /// lazily after flag changes, so steady-state rounds pay nothing.
@@ -65,7 +59,6 @@ class NodeStateBlock {
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<std::uint8_t> flags_;
-  SpatialGrid grid_;
   mutable std::vector<std::uint32_t> active_;
   mutable bool activeDirty_ = false;
 };

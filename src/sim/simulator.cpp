@@ -5,12 +5,12 @@
 
 namespace wmsn::sim {
 
-EventId Simulator::schedule(Time delay, Action action) {
+EventId Simulator::schedule(Time delay, Action&& action) {
   WMSN_REQUIRE_MSG(delay.us >= 0, "cannot schedule into the past");
   return queue_.push(now_ + delay, std::move(action));
 }
 
-EventId Simulator::scheduleAt(Time when, Action action) {
+EventId Simulator::scheduleAt(Time when, Action&& action) {
   WMSN_REQUIRE_MSG(when >= now_, "cannot schedule into the past");
   return queue_.push(when, std::move(action));
 }

@@ -23,10 +23,10 @@ class Simulator {
 
   /// Schedule `action` to run `delay` after the current time.
   /// Requires delay >= 0.
-  EventId schedule(Time delay, Action action);
+  EventId schedule(Time delay, Action&& action);
 
   /// Schedule `action` at an absolute time >= now().
-  EventId scheduleAt(Time when, Action action);
+  EventId scheduleAt(Time when, Action&& action);
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 

@@ -573,8 +573,9 @@ TEST(PerfStats, ThreeNodeLineTopologyCountsExactly) {
   {
     obs::PerfStats::Activation counting(&stats);
 
-    // Broadcast from A: one transmission scanning all 3 nodes, one in-range
-    // receiver (B) costing one channel draw and one delivery.
+    // Broadcast from A: one transmission walking A's adjacency row {A, B}
+    // (no gateways to test), one in-range receiver (B) costing one channel
+    // draw and one delivery.
     net::Packet hello;
     hello.kind = net::PacketKind::kHello;
     hello.hopDst = net::kBroadcastId;
@@ -583,7 +584,7 @@ TEST(PerfStats, ThreeNodeLineTopologyCountsExactly) {
     EXPECT_EQ(stats.value(obs::PerfCounter::kFramesOffered), 1u);
     EXPECT_EQ(stats.value(obs::PerfCounter::kFramesTransmitted), 1u);
     EXPECT_EQ(stats.value(obs::PerfCounter::kFramesReceived), 1u);
-    EXPECT_EQ(stats.value(obs::PerfCounter::kPairsExamined), 3u);
+    EXPECT_EQ(stats.value(obs::PerfCounter::kPairsExamined), 2u);
     EXPECT_EQ(stats.value(obs::PerfCounter::kRngDraws), 1u);
 
     // Unicast data A→B: delivered on the first attempt, so the default ARQ
@@ -596,13 +597,14 @@ TEST(PerfStats, ThreeNodeLineTopologyCountsExactly) {
     EXPECT_EQ(stats.value(obs::PerfCounter::kFramesOffered), 2u);
     EXPECT_EQ(stats.value(obs::PerfCounter::kFramesTransmitted), 2u);
     EXPECT_EQ(stats.value(obs::PerfCounter::kFramesReceived), 2u);
-    EXPECT_EQ(stats.value(obs::PerfCounter::kPairsExamined), 6u);
+    EXPECT_EQ(stats.value(obs::PerfCounter::kPairsExamined), 4u);
     EXPECT_EQ(stats.value(obs::PerfCounter::kRngDraws), 2u);
 
-    // One neighbor scan examines all 3 nodes.
+    // One neighbor scan walks the same two-entry row.
     EXPECT_EQ(network.neighborsOf(a).size(), 1u);
     EXPECT_EQ(stats.value(obs::PerfCounter::kNeighborScans), 1u);
-    EXPECT_EQ(stats.value(obs::PerfCounter::kPairsExamined), 9u);
+    EXPECT_EQ(stats.value(obs::PerfCounter::kPairsExamined), 6u);
+    EXPECT_EQ(stats.value(obs::PerfCounter::kGridQueries), 3u);
   }
 
   // Nothing else ran: no MAC contention, no protocol rounds, no route

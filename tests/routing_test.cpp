@@ -589,6 +589,72 @@ TEST(Mlr, ReliableModeRecoversViaOtherGateway) {
       net.knowledge.gatewayIds[1]));
 }
 
+TEST(Mlr, OccupancyIteratesByPlace) {
+  MlrNet net(5);
+  net.announceInitial();
+  using Slots = std::vector<std::pair<std::uint16_t, std::uint16_t>>;
+  const auto slots = [&net] {
+    Slots out;
+    for (const auto& [place, gateway] : net.mlrAt(2).occupancy())
+      out.emplace_back(place, gateway);
+    return out;
+  };
+  const auto g0 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[0]);
+  const auto g1 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[1]);
+  EXPECT_EQ(slots(), (Slots{{0, g0}, {1, g1}}));
+
+  // Gateway 0 moves to place 2: place 0 frees, place 2 sorts last.
+  net.stack->beginRound(1);
+  net.network.setGatewayPosition(g0, net.knowledge.feasiblePlaces[2]);
+  net.mlrAt(g0).announceMove(2, 0, 1);
+  net.run(1.0);
+  EXPECT_EQ(slots(), (Slots{{1, g1}, {2, g0}}));
+
+  // Gateway 1 takes place 0: the higher gateway id now iterates first.
+  net.stack->beginRound(2);
+  net.network.setGatewayPosition(g1, net.knowledge.feasiblePlaces[0]);
+  net.mlrAt(g1).announceMove(0, 1, 2);
+  net.run(1.0);
+  EXPECT_EQ(slots(), (Slots{{0, g1}, {2, g0}}));
+  EXPECT_EQ(net.mlrAt(2).occupancy().size(), 2u);
+  EXPECT_EQ((*net.mlrAt(2).occupancy().begin()).second, g1);
+}
+
+TEST(Mlr, LateRefloodOfAnOlderRoundFindsItsEntry) {
+  // A copy of round 0's announcement arriving after round 1's must hit the
+  // round-0 dedup entry: nobody re-floods a hop count they already beat.
+  MlrNet net(5);
+  net.announceInitial();
+  const auto g0 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[0]);
+  net.stack->beginRound(1);
+  net.mlrAt(g0).announceMove(0, 0, 1);
+  net.run(1.0);
+  const std::uint64_t before = net.network.medium().framesTransmitted();
+
+  GatewayMoveMsg late;
+  late.gateway = g0;
+  late.newPlace = 0;
+  late.round = 0;
+  late.hopCount = 4;  // worse than what sensors 0 and 2 advertised
+  net::Packet packet;
+  packet.kind = net::PacketKind::kGatewayMove;
+  packet.hopDst = net::kBroadcastId;
+  packet.payload = late.encode();
+  net.network.sendFrom(1, packet);
+  net.run(1.0);
+  EXPECT_EQ(net.network.medium().framesTransmitted(), before + 1)
+      << "a neighbour re-flooded an announcement it had already advertised";
+
+  // The same late copy with a better hop count than sensor 4 advertised for
+  // place 0 (5 hops) does propagate: the rule is improvement, not novelty.
+  late.hopCount = 0;
+  packet.payload = late.encode();
+  net.network.sendFrom(3, packet);
+  net.run(1.0);
+  EXPECT_GT(net.network.medium().framesTransmitted(), before + 2);
+  EXPECT_EQ(net.mlrAt(4).placeTable()[0].hops, 1);
+}
+
 TEST(Mlr, MalformedPacketIsDroppedNotFatal) {
   MlrNet net(3);
   net.announceInitial();

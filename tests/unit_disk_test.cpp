@@ -1,8 +1,11 @@
 // Set-up graph walks (docs/KERNEL.md "Set-up"): net::unitDiskHops, and the
 // three callers built on it — net::isConnected, net::sensorsConnected and
-// core::hopField — checked against the all-pairs O(n²) BFS they replaced.
-// The brute-force oracles below live here only; the equivalence they pin is
-// bit-for-bit (same booleans, same hop vectors, same planner selections).
+// core::hopField — checked against the all-pairs O(n²) BFS they replaced;
+// and net::UnitDiskGraph, the static sensor adjacency the medium walks
+// (docs/KERNEL.md "Static adjacency"), checked row by row against an
+// all-pairs scan. The brute-force oracles below live here only; the
+// equivalence they pin is bit-for-bit (same booleans, same hop vectors,
+// same rows, same planner selections).
 
 #include <gtest/gtest.h>
 
@@ -101,6 +104,31 @@ std::vector<std::uint32_t> bruteHops(const std::vector<Point>& points,
     }
   }
   return dist;
+}
+
+/// The all-pairs adjacency: row i lists ascending every member j (i itself
+/// included) with distanceSq <= range²; non-members get empty rows.
+std::vector<std::vector<std::uint32_t>> bruteRows(
+    const std::vector<Point>& points, double range,
+    const std::vector<std::uint8_t>& member = {}) {
+  const auto isMember = [&](std::size_t i) {
+    return member.empty() || member[i] != 0;
+  };
+  std::vector<std::vector<std::uint32_t>> rows(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!isMember(i)) continue;
+    for (std::size_t j = 0; j < points.size(); ++j)
+      if (isMember(j) && net::distanceSq(points[i], points[j]) <= range * range)
+        rows[i].push_back(static_cast<std::uint32_t>(j));
+  }
+  return rows;
+}
+
+std::vector<std::vector<std::uint32_t>> graphRows(const net::UnitDiskGraph& g) {
+  std::vector<std::vector<std::uint32_t>> rows;
+  for (std::uint32_t i = 0; i < g.size(); ++i)
+    rows.emplace_back(g.row(i).begin(), g.row(i).end());
+  return rows;
 }
 
 /// The greedy planner over oracle hop fields, one per place (same
@@ -249,6 +277,88 @@ TEST(SetupEquivalence, GeneratedDeploymentsMatchOracle) {
     EXPECT_EQ(net::sensorsConnected(clustered.sensors, 45.0),
               bruteSensorsConnected(clustered.sensors, 45.0));
   }
+}
+
+TEST(UnitDiskGraph, RowsMatchBruteForceOnRandomLayouts) {
+  constexpr double kWidth = 200.0;
+  int connected = 0;
+  int partitioned = 0;
+  for (Layout layout : {Layout::kUniform, Layout::kGrid, Layout::kClustered}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      Rng rng(seed * 104729 + static_cast<std::uint64_t>(layout));
+      const auto sensors = makeSensors(layout, 160, kWidth, rng);
+      // Every third point a non-member, as gateways are in a network's
+      // lazily built graph.
+      std::vector<std::uint8_t> member(sensors.size(), 1);
+      for (std::size_t i = 0; i < member.size(); i += 3) member[i] = 0;
+      for (double range : {10.0, 18.0, 25.0, 40.0}) {
+        SCOPED_TRACE(testing::Message() << "layout " << static_cast<int>(layout)
+                                        << " seed " << seed << " range "
+                                        << range);
+        const net::UnitDiskGraph graph(sensors, range);
+        ASSERT_EQ(graph.size(), sensors.size());
+        ASSERT_EQ(graphRows(graph), bruteRows(sensors, range));
+        ASSERT_EQ(graph.connected(), bruteSensorsConnected(sensors, range));
+        (graph.connected() ? connected : partitioned) += 1;
+        const net::UnitDiskGraph some(sensors, range, member);
+        ASSERT_EQ(graphRows(some), bruteRows(sensors, range, member));
+        EXPECT_TRUE(graph.row(static_cast<std::uint32_t>(sensors.size()))
+                        .empty());
+      }
+    }
+  }
+  EXPECT_GT(connected, 10);
+  EXPECT_GT(partitioned, 10);
+}
+
+TEST(UnitDiskGraph, ExactRangeAndRoundedPairsAreLinked) {
+  // The 3-4-5 pairs at exactly r = 5 straddle cell boundaries; one ulp
+  // farther along x the graph must agree with the all-pairs predicate.
+  const double r = 5.0;
+  const std::vector<std::pair<Point, Point>> pairs = {
+      {{0, 0}, {5, 0}},  {{0, 0}, {0, 5}},  {{5, 5}, {0, 5}},
+      {{2, 1}, {5, 5}},  {{9, 9}, {5, 6}},  {{1, 9}, {4, 5}},
+      {{4.5, 0.5}, {7.5, 4.5}},             {{-2, -1}, {1, 3}},
+  };
+  for (const auto& [a, b] : pairs) {
+    SCOPED_TRACE(testing::Message() << "(" << a.x << "," << a.y << ")-("
+                                    << b.x << "," << b.y << ")");
+    const net::UnitDiskGraph graph({a, b}, r);
+    EXPECT_EQ(graphRows(graph),
+              (std::vector<std::vector<std::uint32_t>>{{0, 1}, {0, 1}}));
+    const Point beyond{std::nextafter(b.x, b.x > a.x ? 1e9 : -1e9), b.y};
+    if (b.x != a.x) {
+      EXPECT_EQ(graphRows(net::UnitDiskGraph({a, beyond}, r)),
+                bruteRows({a, beyond}, r));
+    }
+  }
+  // q one ulp below the cell boundary at x = r, p at 2r: the rounded gap is
+  // r, so they link, though p's unpadded block would start past q's cell.
+  for (double range : {1.0, 32.0}) {
+    SCOPED_TRACE(range);
+    const Point q{std::nextafter(range, 0.0), 0.0};
+    const Point p{2.0 * range, 0.0};
+    ASSERT_LE(net::distanceSq(p, q), range * range);
+    const net::UnitDiskGraph graph({p, q}, range);
+    EXPECT_EQ(graphRows(graph),
+              (std::vector<std::vector<std::uint32_t>>{{0, 1}, {0, 1}}));
+    EXPECT_TRUE(graph.connected());
+    // A query from a point off the graph (a gateway's row) sees q too.
+    bool sawQ = false;
+    graph.forEachCandidate(p, [&](std::uint32_t c) { sawQ |= (c == 1); });
+    EXPECT_TRUE(sawQ);
+  }
+}
+
+TEST(UnitDiskGraph, ConnectedCountsMembersOnly) {
+  const std::vector<Point> points = {{0, 0}, {10, 0}, {100, 0}, {20, 0}};
+  EXPECT_FALSE(net::UnitDiskGraph(points, 15.0).connected());
+  // Without the far point the rest is one chain.
+  EXPECT_TRUE(net::UnitDiskGraph(points, 15.0, {1, 1, 0, 1}).connected());
+  // Without the middle point the chain breaks.
+  EXPECT_FALSE(net::UnitDiskGraph(points, 15.0, {1, 0, 0, 1}).connected());
+  EXPECT_TRUE(net::UnitDiskGraph({}, 15.0).connected());
+  EXPECT_TRUE(net::UnitDiskGraph({{3, 3}}, 15.0).connected());
 }
 
 // --- hand-built boundary cases -----------------------------------------------

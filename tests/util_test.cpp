@@ -3,10 +3,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
+#include "util/flat_map.hpp"
 #include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
@@ -15,6 +18,44 @@
 
 namespace wmsn {
 namespace {
+
+// --- FlatMap ---------------------------------------------------------------
+
+TEST(FlatMap, MatchesStdMapUnderRandomOperations) {
+  // Same contents, same ascending iteration, same lookups as std::map after
+  // every insert, overwrite and erase.
+  Rng rng(99);
+  FlatMap<std::uint64_t, std::uint32_t> flat;
+  std::map<std::uint64_t, std::uint32_t> ref;
+  for (int op = 0; op < 2000; ++op) {
+    const auto high = static_cast<std::uint64_t>(rng.uniformInt(0, 40));
+    const auto low = static_cast<std::uint64_t>(rng.uniformInt(0, 3));
+    const std::uint64_t key = high << 32 | low;
+    const auto value = static_cast<std::uint32_t>(rng.uniformInt(0, 1000));
+    const bool erase = rng.uniformInt(0, 3) == 0;
+    if (erase) {
+      const auto it = flat.find(key);
+      ASSERT_EQ(it != flat.end(), ref.contains(key));
+      if (it != flat.end()) flat.erase(it);
+      ref.erase(key);
+    } else {
+      flat[key] = value;
+      ref[key] = value;
+    }
+    ASSERT_EQ(flat.size(), ref.size());
+    ASSERT_TRUE(std::equal(flat.begin(), flat.end(), ref.begin(), ref.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first && a.second == b.second;
+                           }));
+    ASSERT_EQ(flat.find(key) != flat.end(), ref.contains(key));
+    if (ref.contains(key)) {
+      ASSERT_EQ(flat.at(key), ref.at(key));
+    }
+  }
+  EXPECT_THROW((void)flat.at(~std::uint64_t{0}), PreconditionError);
+  flat.clear();
+  EXPECT_TRUE(flat.empty());
+}
 
 // --- Rng -------------------------------------------------------------------
 

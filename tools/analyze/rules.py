@@ -533,9 +533,10 @@ def check_process_discipline(f, ctx, emit):
 
 _RANGESCAN_EXEMPT = re.compile(r"^(src/(sim|net|mesh)/|tests/|bench/)")
 _RANGESCAN_CALL = re.compile(r"[.>]\s*linked\s*\(")
-# Raw distance tests are the kernel's and the radio's business: the grid,
-# the link predicates, the geometry primitive and the one set-up BFS
-# (net::unitDiskHops). Tests keep brute-force oracles.
+# Raw distance tests are the kernel's and the radio's business: the link
+# predicates, the geometry primitive and the one cell index behind the
+# sensor adjacency and the set-up BFS (src/net/unit_disk.cpp). Tests keep
+# brute-force oracles.
 _DISTANCE_EXEMPT = re.compile(
     r"^(src/sim/|src/net/(radio\.cpp|geometry\.hpp|unit_disk\.cpp)$|tests/)")
 _DISTANCE_CALL = re.compile(r"(?<!\w)distanceSq\s*\(")
@@ -549,14 +550,14 @@ def check_rangescan_discipline(f, ctx, emit):
             emit(Finding(
                 "rangescan-discipline", f.rel, i,
                 "direct linked() range test re-grows the O(n²) all-pairs "
-                "scan; query SensorNetwork::neighborsOf or the spatial "
-                "grid (docs/KERNEL.md)"))
+                "scan; query SensorNetwork::neighborsOf or the sensor "
+                "adjacency (docs/KERNEL.md)"))
         if not distance_ok and _DISTANCE_CALL.search(line):
             emit(Finding(
                 "rangescan-discipline", f.rel, i,
                 "raw distanceSq() range test re-grows the O(n²) all-pairs "
                 "scan; use net::unitDiskHops, SensorNetwork::neighborsOf "
-                "or the spatial grid (docs/KERNEL.md)"))
+                "or net::UnitDiskGraph (docs/KERNEL.md)"))
 
 
 # Text-to-number conversion goes through wmsn::parseNumber (src/util/
@@ -636,8 +637,8 @@ RULES = [
          check_process_discipline, inline_ok=True),
     Rule("rangescan-discipline", "lint",
          "direct linked() range test outside src/sim|net|mesh, or raw "
-         "distanceSq() outside the grid, radio and set-up BFS",
-         "re-grows the O(n²) all-pairs scan the spatial grid deleted",
+         "distanceSq() outside the radio and the cell index",
+         "re-grows the O(n²) all-pairs scan the neighbor index deleted",
          check_rangescan_discipline, inline_ok=True),
     Rule("number-parse-discipline", "lint",
          "std::sto* outside src/util/parse.* and tests/",
