@@ -10,8 +10,11 @@
 // --check enforces the observability budget and exits non-zero when it is
 // blown: the null trace sink must stay within 2% of bare, and sampled span
 // tracing (10% of readings retained) within 5%. The budget is evaluated on
-// the min-of-reps numbers — the least-perturbed samples.
+// the min-of-reps numbers — the least-perturbed samples. The reps are
+// interleaved: each rep runs bare and then every variant once, so a burst
+// of host load lands on all variants alike, not on one variant's batch.
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 
@@ -43,23 +46,18 @@ struct Variant {
   bool trace = false;
 };
 
-/// Wall seconds for one build+run, timing only the run itself. Returns the
-/// best (minimum) of `reps` attempts — the least-perturbed sample.
-double timeVariant(const Variant& v, unsigned reps, std::uint64_t& events) {
-  double best = 1e18;
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    auto scenario = core::buildScenario(v.config());
-    core::TraceLogger trace(v.traceFormat);
-    if (v.trace) trace.attach(*scenario);
-    core::Experiment experiment(*scenario);
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = experiment.run();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    best = std::min(best, elapsed.count());
-    events = v.trace ? trace.rows() : result.eventsProcessed;
-  }
-  return best;
+/// Wall seconds for one build+run, timing only the run itself.
+double timeOnce(const Variant& v, std::uint64_t& events) {
+  auto scenario = core::buildScenario(v.config());
+  core::TraceLogger trace(v.traceFormat);
+  if (v.trace) trace.attach(*scenario);
+  core::Experiment experiment(*scenario);
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = experiment.run();
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  events = v.trace ? trace.rows() : result.eventsProcessed;
+  return elapsed.count();
 }
 
 }  // namespace
@@ -122,24 +120,32 @@ int main(int argc, char** argv) {
   // land on the bare baseline.
   {
     std::uint64_t ignore = 0;
-    timeVariant(variants.front(), 1, ignore);
+    timeOnce(variants.front(), ignore);
   }
+
+  // Each rep runs every variant once, bare first; each keeps its best
+  // (minimum) run — the least-perturbed sample.
+  std::vector<double> best(variants.size(), 1e18);
+  std::vector<std::uint64_t> events(variants.size(), 0);
+  for (unsigned rep = 0; rep < args.reps; ++rep)
+    for (std::size_t i = 0; i < variants.size(); ++i)
+      best[i] = std::min(best[i], timeOnce(variants[i], events[i]));
 
   double baseline = 0.0;
   TextTable table({"variant", "events", "best ms", "overhead %"});
   CsvWriter csv({"variant", "events", "best_ms", "overhead_pct"});
   std::vector<std::pair<std::string, double>> overheads;
-  for (const Variant& v : variants) {
-    std::uint64_t events = 0;
-    const double seconds = timeVariant(v, args.reps, events);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const Variant& v = variants[i];
+    const double seconds = best[i];
     if (v.name == "bare") baseline = seconds;
     const double overheadPct =
         baseline > 0.0 ? (seconds / baseline - 1.0) * 100.0 : 0.0;
     overheads.emplace_back(v.name, overheadPct);
-    table.addRow({v.name, TextTable::num(events),
+    table.addRow({v.name, TextTable::num(events[i]),
                   TextTable::num(seconds * 1e3, 2),
                   TextTable::num(overheadPct, 1)});
-    csv.addRow({v.name, TextTable::num(events),
+    csv.addRow({v.name, TextTable::num(events[i]),
                 TextTable::num(seconds * 1e3, 3),
                 TextTable::num(overheadPct, 2)});
   }

@@ -21,17 +21,20 @@
 #      per node) and the spatial grid's candidate superset ~19, so a
 #      regression back toward superset or all-pairs scanning trips this
 #      long before it trips a wall-clock gate. The same run's heap
-#      allocations (telemetry.alloc_count) must
-#      stay at most 8 per transmitted frame — a fixed ceiling with no
-#      override. The slab event queue, inline actions and shared frames
-#      (docs/KERNEL.md) brought this from ~40 to ~6.4; a closure or packet
-#      copy creeping back onto the per-frame path trips it deterministically.
-#      SecMLR gets its own fixed ceiling, also with no override: at most 21
-#      allocations per transmitted frame on the perfbench secmlr_mobile
-#      scenario (100 sensors, 3 moving gateways, 20 rounds, seed 7). The
-#      shared keyring and the early duplicate-query drop (docs/KERNEL.md
-#      "SecMLR key material") brought it from ~68 to ~17.5; per-node key
-#      derivation or a decode of every duplicate query coming back trips it.
+#      allocations (telemetry.alloc_count) must stay at most 5.5 per
+#      transmitted frame — a fixed ceiling with no override. The slab event
+#      queue, inline actions and shared frames (docs/KERNEL.md) brought this
+#      from ~40 to ~6.1, and the field-table wire codec, which sizes each
+#      encoding's buffer once, to ~4.6; a closure, packet copy or
+#      byte-at-a-time payload buffer creeping back onto the per-frame path
+#      trips it deterministically. SecMLR gets its own fixed ceiling, also
+#      with no override: at most 11 allocations per transmitted frame on the
+#      perfbench secmlr_mobile scenario (100 sensors, 3 moving gateways, 20
+#      rounds, seed 7). The shared keyring and the early duplicate-query drop
+#      (docs/KERNEL.md "SecMLR key material") brought it from ~68 to ~17.4,
+#      and the field-table codec to ~9.1; per-node key derivation, a decode
+#      of every duplicate query or a growing encode buffer coming back trips
+#      it.
 #   4. throughput smoke  — the 1k point of the committed kernel-scaling
 #      baseline (BENCH_kernel.json, campaigns/kernel_scale.spec) must be
 #      reproducible: best-of-3 rounds/sec within a tolerance of the
@@ -136,12 +139,13 @@ print(f"check_perf: 4k pairs ceiling {per_frame:.1f} row entries/frame "
       f"(ceiling {ceiling:g}; the spatial grid's candidates were ~19, "
       f"all-pairs ~4000) {'ok' if ok else 'EXCEEDED'}")
 allocs = doc["telemetry"]["alloc_count"]
-alloc_ceiling = 8.0
+alloc_ceiling = 5.5
 allocs_per_frame = allocs / frames
 alloc_ok = allocs_per_frame <= alloc_ceiling
 print(f"check_perf: 4k allocation ceiling {allocs_per_frame:.2f} "
       f"allocations/frame (ceiling {alloc_ceiling:g}; ~40 before the slab "
-      f"event queue) {'ok' if alloc_ok else 'EXCEEDED'}")
+      f"event queue, ~6.1 before the field-table codec) "
+      f"{'ok' if alloc_ok else 'EXCEEDED'}")
 sys.exit(0 if ok and alloc_ok else 1)
 EOF
 
@@ -155,11 +159,12 @@ doc = json.load(open(sys.argv[1]))
 frames = doc["counters"]["frames_transmitted"]
 assert frames > 0, doc["counters"]
 per_frame = doc["telemetry"]["alloc_count"] / frames
-ceiling = 21.0
+ceiling = 11.0
 ok = per_frame <= ceiling
 print(f"check_perf: SecMLR allocation ceiling {per_frame:.2f} "
       f"allocations/frame (ceiling {ceiling:g}; ~68 before the shared "
-      f"keyring) {'ok' if ok else 'EXCEEDED'}")
+      f"keyring, ~17.4 before the field-table codec) "
+      f"{'ok' if ok else 'EXCEEDED'}")
 sys.exit(0 if ok else 1)
 EOF
 

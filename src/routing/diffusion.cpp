@@ -10,17 +10,6 @@ namespace {
 constexpr std::uint16_t kExploratory = 0xfffd;
 constexpr std::uint16_t kReinforced = 0xfffc;
 
-Bytes encodeReinforce(std::uint16_t origin) {
-  ByteWriter w;
-  w.u16(origin);
-  return w.take();
-}
-
-std::uint16_t decodeReinforce(const Bytes& payload) {
-  ByteReader r(payload);
-  return r.u16();
-}
-
 }  // namespace
 
 DiffusionRouting::DiffusionRouting(net::SensorNetwork& network,
@@ -146,9 +135,10 @@ void DiffusionRouting::onReceive(const net::Packet& packet, net::NodeId from) {
           reportDelivered(packet.uid, msg.source, packet.hops + 1u);
           // Reinforce the first-arriving (lowest-latency) path once.
           if (reinforcedOrigins_.insert(msg.source).second) {
-            sendUnicast(from,
-                        makePacket(net::PacketKind::kReinforce, from,
-                                   encodeReinforce(msg.source)));
+            ReinforceMsg reinforce;
+            reinforce.origin = msg.source;
+            sendUnicast(from, makePacket(net::PacketKind::kReinforce, from,
+                                         reinforce.encode()));
           }
           return;
         }
@@ -185,15 +175,15 @@ void DiffusionRouting::onReceive(const net::Packet& packet, net::NodeId from) {
     }
     case net::PacketKind::kReinforce: {
       if (isGateway()) return;
-      const std::uint16_t origin = decodeReinforce(packet.payload);
+      const auto reinforce = ReinforceMsg::decode(packet.payload);
       // Data flows back toward whoever reinforced us.
       reinforcedNext_ = from;
-      if (origin == self()) return;  // the walk reached the source
-      const auto upstream = exploratoryFrom_.find(origin);
+      if (reinforce.origin == self()) return;  // the walk reached the source
+      const auto upstream = exploratoryFrom_.find(reinforce.origin);
       if (upstream == exploratoryFrom_.end()) return;  // path evaporated
       sendUnicast(upstream->second,
                   makePacket(net::PacketKind::kReinforce, upstream->second,
-                             encodeReinforce(origin)));
+                             reinforce.encode()));
       return;
     }
     default:

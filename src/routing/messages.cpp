@@ -1,6 +1,9 @@
 #include "routing/messages.hpp"
 
 #include <algorithm>
+#include <array>
+#include <type_traits>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -8,43 +11,189 @@ namespace wmsn::routing {
 
 namespace {
 
-void writeMac(ByteWriter& w, const crypto::PacketMac& mac) {
-  w.raw(std::span<const std::uint8_t>(mac.data(), mac.size()));
+// --- the field-table codec ---------------------------------------------------
+
+template <typename T>
+struct IsPerHop : std::false_type {};
+template <typename Member>
+struct IsPerHop<PerHop<Member>> : std::true_type {};
+
+template <typename T>
+struct IsRaw : std::false_type {};
+template <std::size_t N>
+struct IsRaw<std::array<std::uint8_t, N>> : std::true_type {};
+
+/// Calls fn(field, perHop) for every entry of `msg`'s table, in wire order.
+template <typename Msg, typename Fn>
+void forEachField(Msg& msg, Fn&& fn) {
+  std::apply(
+      [&](auto... entry) {
+        auto visit = [&](auto e) {
+          if constexpr (IsPerHop<decltype(e)>::value)
+            fn(msg.*e.member, true);
+          else
+            fn(msg.*e, false);
+        };
+        (visit(entry), ...);
+      },
+      std::remove_const_t<Msg>::fields());
 }
 
-crypto::PacketMac readMac(ByteReader& r) {
-  const Bytes raw = r.raw(crypto::kPacketMacSize);
-  crypto::PacketMac mac{};
-  std::copy(raw.begin(), raw.end(), mac.begin());
-  return mac;
+/// Writes fields little-endian, one byte at a time through `put`.
+template <typename Put>
+class Writer {
+ public:
+  explicit Writer(Put put) : put_(put) {}
+
+  template <typename T>
+  void field(const T& v) {
+    if constexpr (std::is_unsigned_v<T>) {
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        put_(static_cast<std::uint8_t>(v >> (8 * i)));
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      WMSN_REQUIRE_MSG(v.size() <= 0xffff, "length-prefixed field too long");
+      field(static_cast<std::uint16_t>(v.size()));
+      for (std::uint8_t b : v) put_(b);
+    } else if constexpr (std::is_same_v<T, Path>) {
+      WMSN_REQUIRE_MSG(v.size() <= 0xff, "path too long to encode");
+      field(static_cast<std::uint8_t>(v.size()));
+      for (std::uint16_t hop : v) field(hop);
+    } else if constexpr (IsRaw<T>::value) {
+      for (std::uint8_t b : v) put_(b);
+    } else if constexpr (requires { T::fields(); }) {
+      forEachField(v, [&](const auto& f, bool) { field(f); });
+    } else {
+      WMSN_REQUIRE_MSG(v.size() <= 0xffff, "entry list too long to encode");
+      field(static_cast<std::uint16_t>(v.size()));
+      for (const auto& entry : v) field(entry);
+    }
+  }
+
+ private:
+  Put put_;
+};
+
+/// What `write(writer)` writes, in one buffer of exactly that size: a first
+/// pass counts the bytes, the second fills them.
+template <typename WriteFn>
+Bytes encodeExact(WriteFn write) {
+  std::size_t size = 0;
+  write(Writer([&size](std::uint8_t) { ++size; }));
+  Bytes out(size);
+  std::uint8_t* next = out.data();
+  write(Writer([&next](std::uint8_t b) { *next++ = b; }));
+  return out;
 }
 
-void writeKey(ByteWriter& w, const crypto::Key& key) {
-  w.raw(std::span<const std::uint8_t>(key.data(), key.size()));
+/// Reads fields in place; throws PreconditionError past the end.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::uint8_t> in) : in_(in) {}
+
+  template <typename T>
+  void field(T& v) {
+    if constexpr (std::is_unsigned_v<T>) {
+      const std::uint8_t* p = take(sizeof(T));
+      std::uint64_t value = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        value |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+      v = static_cast<T>(value);
+    } else if constexpr (std::is_same_v<T, Bytes>) {
+      std::uint16_t n = 0;
+      field(n);
+      const std::uint8_t* p = take(n);
+      v.assign(p, p + n);
+    } else if constexpr (std::is_same_v<T, Path>) {
+      std::uint8_t n = 0;
+      field(n);
+      v.resize(n);
+      for (std::uint16_t& hop : v) field(hop);
+    } else if constexpr (IsRaw<T>::value) {
+      const std::uint8_t* p = take(v.size());
+      std::copy(p, p + v.size(), v.begin());
+    } else if constexpr (requires { T::fields(); }) {
+      forEachField(v, [&](auto& f, bool) { field(f); });
+    } else {
+      std::uint16_t n = 0;
+      field(n);
+      v.resize(n);
+      for (auto& entry : v) field(entry);
+    }
+  }
+
+ private:
+  const std::uint8_t* take(std::size_t n) {
+    WMSN_REQUIRE_MSG(in_.size() - pos_ >= n, "truncated packet");
+    const std::uint8_t* p = in_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  std::span<const std::uint8_t> in_;
+  std::size_t pos_ = 0;
+};
+
+/// SecMLR's MAC input: the packet-kind byte, then every table field but the
+/// MAC itself and the per-hop ones.
+template <typename Msg>
+Bytes macInputOf(net::PacketKind kind, const Msg& msg) {
+  return encodeExact([&](auto w) {
+    w.field(static_cast<std::uint8_t>(kind));
+    forEachField(msg, [&](const auto& f, bool perHop) {
+      using T = std::decay_t<decltype(f)>;
+      if (!perHop && !std::is_same_v<T, crypto::PacketMac>) w.field(f);
+    });
+  });
 }
 
-crypto::Key readKey(ByteReader& r) {
-  const Bytes raw = r.raw(sizeof(crypto::Key));
-  crypto::Key key{};
-  std::copy(raw.begin(), raw.end(), key.begin());
-  return key;
+/// Decodes the first N fields of `msg`'s table, which must be integers;
+/// false when the payload is too short to hold them.
+template <std::size_t N, typename Msg>
+bool decodeLeading(std::span<const std::uint8_t> payload, Msg& msg) {
+  constexpr auto table = Msg::fields();
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    if (payload.size() < (sizeof(msg.*std::get<I>(table)) + ...))
+      return false;
+    Reader r(payload);
+    (r.field(msg.*std::get<I>(table)), ...);
+    return true;
+  }(std::make_index_sequence<N>{});
 }
 
 }  // namespace
 
-void encodePath(ByteWriter& w, const Path& path) {
-  WMSN_REQUIRE_MSG(path.size() <= 0xff, "path too long to encode");
-  w.u8(static_cast<std::uint8_t>(path.size()));
-  for (std::uint16_t hop : path) w.u16(hop);
+template <typename Msg>
+Bytes WireMessage<Msg>::encode() const {
+  const Msg& msg = static_cast<const Msg&>(*this);
+  return encodeExact([&](auto w) { w.field(msg); });
 }
 
-Path decodePath(ByteReader& r) {
-  const std::size_t n = r.u8();
-  Path path;
-  path.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) path.push_back(r.u16());
-  return path;
+template <typename Msg>
+Msg WireMessage<Msg>::decode(std::span<const std::uint8_t> payload) {
+  Msg msg;
+  Reader(payload).field(msg);
+  return msg;
 }
+
+template struct WireMessage<RreqMsg>;
+template struct WireMessage<RresMsg>;
+template struct WireMessage<DataMsg>;
+template struct WireMessage<GatewayMoveMsg>;
+template struct WireMessage<LoadAdvisoryMsg>;
+template struct WireMessage<CommandMsg>;
+template struct WireMessage<CostBeaconMsg>;
+template struct WireMessage<ChAdvertMsg>;
+template struct WireMessage<ChJoinMsg>;
+template struct WireMessage<AggregateMsg>;
+template struct WireMessage<SpinDescriptorMsg>;
+template struct WireMessage<ReinforceMsg>;
+template struct WireMessage<SecRreqMsg>;
+template struct WireMessage<SecRresMsg>;
+template struct WireMessage<SecDataMsg>;
+template struct WireMessage<SecMoveMsg>;
+template struct WireMessage<KeyDiscloseMsg>;
+template struct WireMessage<SealedCommandMsg>;
+template struct WireMessage<AckMsg>;
 
 bool pathIsSimple(const Path& path) {
   // Paths are a few dozen hops at most (an encoded path holds <= 255), so a
@@ -54,385 +203,22 @@ bool pathIsSimple(const Path& path) {
   return true;
 }
 
-// --- SPR --------------------------------------------------------------------
-
-Bytes RreqMsg::encode() const {
-  ByteWriter w;
-  w.u32(reqId);
-  w.u16(targetGateway);
-  encodePath(w, path);
-  return w.take();
-}
-
-RreqMsg RreqMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  RreqMsg m;
-  m.reqId = r.u32();
-  m.targetGateway = r.u16();
-  m.path = decodePath(r);
-  return m;
-}
-
-Bytes RresMsg::encode() const {
-  ByteWriter w;
-  w.u32(reqId);
-  w.u16(gateway);
-  w.u16(place);
-  encodePath(w, path);
-  w.u16(cursor);
-  return w.take();
-}
-
-RresMsg RresMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  RresMsg m;
-  m.reqId = r.u32();
-  m.gateway = r.u16();
-  m.place = r.u16();
-  m.path = decodePath(r);
-  m.cursor = r.u16();
-  return m;
-}
-
-Bytes DataMsg::encode() const {
-  ByteWriter w;
-  w.u16(source);
-  w.u16(gateway);
-  w.u16(place);
-  w.u32(dataSeq);
-  encodePath(w, route);
-  w.u16(cursor);
-  w.bytes(reading);
-  return w.take();
-}
-
-DataMsg DataMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  DataMsg m;
-  m.source = r.u16();
-  m.gateway = r.u16();
-  m.place = r.u16();
-  m.dataSeq = r.u32();
-  m.route = decodePath(r);
-  m.cursor = r.u16();
-  m.reading = r.bytes();
-  return m;
-}
-
-// --- MLR --------------------------------------------------------------------
-
-Bytes GatewayMoveMsg::encode() const {
-  ByteWriter w;
-  w.u16(gateway);
-  w.u16(newPlace);
-  w.u16(prevPlace);
-  w.u32(round);
-  w.u16(hopCount);
-  return w.take();
-}
-
-GatewayMoveMsg GatewayMoveMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  GatewayMoveMsg m;
-  m.gateway = r.u16();
-  m.newPlace = r.u16();
-  m.prevPlace = r.u16();
-  m.round = r.u32();
-  m.hopCount = r.u16();
-  return m;
-}
-
-Bytes LoadAdvisoryMsg::encode() const {
-  ByteWriter w;
-  w.u16(gateway);
-  w.u16(place);
-  w.u32(round);
-  w.u16(loadPermille);
-  w.u16(hopCount);
-  return w.take();
-}
-
-LoadAdvisoryMsg LoadAdvisoryMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  LoadAdvisoryMsg m;
-  m.gateway = r.u16();
-  m.place = r.u16();
-  m.round = r.u32();
-  m.loadPermille = r.u16();
-  m.hopCount = r.u16();
-  return m;
-}
-
-Bytes CommandMsg::encode() const {
-  ByteWriter w;
-  w.u16(gateway);
-  w.u16(target);
-  w.u32(commandSeq);
-  w.bytes(body);
-  return w.take();
-}
-
-CommandMsg CommandMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  CommandMsg m;
-  m.gateway = r.u16();
-  m.target = r.u16();
-  m.commandSeq = r.u32();
-  m.body = r.bytes();
-  return m;
-}
-
-// --- single-sink baseline -----------------------------------------------------
-
-Bytes CostBeaconMsg::encode() const {
-  ByteWriter w;
-  w.u16(sink);
-  w.u16(cost);
-  w.u32(epoch);
-  return w.take();
-}
-
-CostBeaconMsg CostBeaconMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  CostBeaconMsg m;
-  m.sink = r.u16();
-  m.cost = r.u16();
-  m.epoch = r.u32();
-  return m;
-}
-
-// --- LEACH --------------------------------------------------------------------
-
-Bytes ChAdvertMsg::encode() const {
-  ByteWriter w;
-  w.u32(round);
-  return w.take();
-}
-
-ChAdvertMsg ChAdvertMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  ChAdvertMsg m;
-  m.round = r.u32();
-  return m;
-}
-
-Bytes ChJoinMsg::encode() const {
-  ByteWriter w;
-  w.u32(round);
-  return w.take();
-}
-
-ChJoinMsg ChJoinMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  ChJoinMsg m;
-  m.round = r.u32();
-  return m;
-}
-
-Bytes AggregateMsg::encode() const {
-  ByteWriter w;
-  WMSN_REQUIRE(entries.size() <= 0xffff);
-  w.u16(static_cast<std::uint16_t>(entries.size()));
-  for (const Entry& e : entries) {
-    w.u64(e.uid);
-    w.u16(e.origin);
-    w.u8(e.hops);
-  }
-  return w.take();
-}
-
-AggregateMsg AggregateMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  AggregateMsg m;
-  const std::size_t n = r.u16();
-  m.entries.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Entry e;
-    e.uid = r.u64();
-    e.origin = r.u16();
-    e.hops = r.u8();
-    m.entries.push_back(e);
-  }
-  return m;
-}
-
-// --- SecMLR -------------------------------------------------------------------
-
 Bytes SecRreqMsg::macInput() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(net::PacketKind::kRreq));
-  w.u16(source);
-  w.u16(gateway);
-  w.u32(reqId);
-  w.u64(counter);
-  w.bytes(encReq);
-  return w.take();
-}
-
-Bytes SecRreqMsg::encode() const {
-  ByteWriter w;
-  w.u16(source);
-  w.u16(gateway);
-  w.u32(reqId);
-  w.u64(counter);
-  w.bytes(encReq);
-  encodePath(w, path);
-  writeMac(w, mac);
-  return w.take();
-}
-
-std::optional<SecRreqMsg::Id> SecRreqMsg::peekId(const Bytes& payload) {
-  if (payload.size() < 8) return std::nullopt;
-  ByteReader r(payload);
-  Id id;
-  id.source = r.u16();
-  id.gateway = r.u16();
-  id.reqId = r.u32();
-  return id;
-}
-
-SecRreqMsg SecRreqMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  SecRreqMsg m;
-  m.source = r.u16();
-  m.gateway = r.u16();
-  m.reqId = r.u32();
-  m.counter = r.u64();
-  m.encReq = r.bytes();
-  m.path = decodePath(r);
-  m.mac = readMac(r);
-  return m;
+  return macInputOf(net::PacketKind::kRreq, *this);
 }
 
 Bytes SecRresMsg::macInput() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(net::PacketKind::kRres));
-  w.u16(source);
-  w.u16(gateway);
-  w.u16(place);
-  w.u32(reqId);
-  w.u64(counter);
-  w.bytes(encRes);
-  encodePath(w, path);  // the chosen path is gateway-asserted → MAC'd
-  return w.take();
-}
-
-Bytes SecRresMsg::encode() const {
-  ByteWriter w;
-  w.u16(source);
-  w.u16(gateway);
-  w.u16(place);
-  w.u32(reqId);
-  w.u64(counter);
-  w.bytes(encRes);
-  encodePath(w, path);
-  w.u16(cursor);
-  writeMac(w, mac);
-  return w.take();
-}
-
-SecRresMsg SecRresMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  SecRresMsg m;
-  m.source = r.u16();
-  m.gateway = r.u16();
-  m.place = r.u16();
-  m.reqId = r.u32();
-  m.counter = r.u64();
-  m.encRes = r.bytes();
-  m.path = decodePath(r);
-  m.cursor = r.u16();
-  m.mac = readMac(r);
-  return m;
+  return macInputOf(net::PacketKind::kRres, *this);
 }
 
 Bytes SecDataMsg::macInput() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(net::PacketKind::kData));
-  w.u16(source);
-  w.u16(gateway);
-  w.u32(dataSeq);
-  w.u64(counter);
-  w.bytes(encData);
-  return w.take();
+  return macInputOf(net::PacketKind::kData, *this);
 }
 
-Bytes SecDataMsg::encode() const {
-  ByteWriter w;
-  w.u16(source);
-  w.u16(gateway);
-  w.u16(immediateSender);
-  w.u16(immediateReceiver);
-  w.u32(dataSeq);
-  w.u64(counter);
-  w.bytes(encData);
-  writeMac(w, mac);
-  return w.take();
-}
-
-SecDataMsg SecDataMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  SecDataMsg m;
-  m.source = r.u16();
-  m.gateway = r.u16();
-  m.immediateSender = r.u16();
-  m.immediateReceiver = r.u16();
-  m.dataSeq = r.u32();
-  m.counter = r.u64();
-  m.encData = r.bytes();
-  m.mac = readMac(r);
-  return m;
-}
-
-Bytes SecMoveMsg::encode() const {
-  ByteWriter w;
-  w.u16(gateway);
-  w.bytes(teslaPayload);
-  w.u32(interval);
-  writeMac(w, mac);
-  w.u16(hopCount);
-  return w.take();
-}
-
-SecMoveMsg SecMoveMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  SecMoveMsg m;
-  m.gateway = r.u16();
-  m.teslaPayload = r.bytes();
-  m.interval = r.u32();
-  m.mac = readMac(r);
-  m.hopCount = r.u16();
-  return m;
-}
-
-Bytes KeyDiscloseMsg::encode() const {
-  ByteWriter w;
-  w.u16(gateway);
-  w.u32(interval);
-  writeKey(w, key);
-  return w.take();
-}
-
-KeyDiscloseMsg KeyDiscloseMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  KeyDiscloseMsg m;
-  m.gateway = r.u16();
-  m.interval = r.u32();
-  m.key = readKey(r);
-  return m;
-}
-
-Bytes AckMsg::encode() const {
-  ByteWriter w;
-  w.u64(uid);
-  return w.take();
-}
-
-AckMsg AckMsg::decode(const Bytes& payload) {
-  ByteReader r(payload);
-  AckMsg m;
-  m.uid = r.u64();
-  return m;
+std::optional<SecRreqMsg::Id> SecRreqMsg::peekId(const Bytes& payload) {
+  SecRreqMsg m;  // the Id is the table's first three fields
+  if (!decodeLeading<3>(payload, m)) return std::nullopt;
+  return Id{m.source, m.gateway, m.reqId};
 }
 
 }  // namespace wmsn::routing

@@ -697,15 +697,12 @@ std::uint32_t SecMlrRouting::sendCommand(net::NodeId target, Bytes body) {
   const std::uint64_t counter = toSensorCounter_[targetId].next();
   const auto& key =
       keyring_->pairKey(targetId, static_cast<std::uint16_t>(self()));
-  Bytes enc = crypto::SpeckCtr(key.key).encrypt(counter, body);
-  const crypto::PacketMac mac = crypto::packetMac(key.hmac, counter, enc);
-  chargeCrypto(body.size() + enc.size());
-
-  ByteWriter sealed;
-  sealed.u64(counter);
-  sealed.bytes(enc);
-  sealed.raw(std::span<const std::uint8_t>(mac.data(), mac.size()));
-  return MlrRouting::sendCommand(target, sealed.take());
+  SealedCommandMsg sealed;
+  sealed.counter = counter;
+  sealed.enc = crypto::SpeckCtr(key.key).encrypt(counter, body);
+  sealed.mac = crypto::packetMac(key.hmac, counter, sealed.enc);
+  chargeCrypto(body.size() + sealed.enc.size());
+  return MlrRouting::sendCommand(target, sealed.encode());
 }
 
 void SecMlrRouting::handleCommand(const net::Packet& packet) {
@@ -714,27 +711,21 @@ void SecMlrRouting::handleCommand(const net::Packet& packet) {
       (static_cast<std::uint64_t>(msg.gateway) << 32) | msg.commandSeq;
   if (!seenCommands_.insert(key).second) return;
   if (msg.target == self()) {
-    // Unseal: counter(8) + length-prefixed ciphertext + mac(8).
-    ByteReader r(msg.body);
-    const std::uint64_t counter = r.u64();
-    const Bytes enc = r.bytes();
-    const Bytes macRaw = r.raw(crypto::kPacketMacSize);
-    crypto::PacketMac mac{};
-    std::copy(macRaw.begin(), macRaw.end(), mac.begin());
-
+    const SealedCommandMsg sealed = SealedCommandMsg::decode(msg.body);
     const auto& pk =
         keyring_->pairKey(static_cast<std::uint16_t>(self()), msg.gateway);
-    chargeCrypto(enc.size() * 2);
-    if (!crypto::verifyPacketMac(pk.hmac, counter, enc, mac)) {
+    chargeCrypto(sealed.enc.size() * 2);
+    if (!crypto::verifyPacketMac(pk.hmac, sealed.counter, sealed.enc,
+                                 sealed.mac)) {
       ++rejectedMacs_;  // forged command — an attacker cannot steer sensors
       return;
     }
-    if (!counterFrom_[msg.gateway].acceptAndAdvance(counter)) {
+    if (!counterFrom_[msg.gateway].acceptAndAdvance(sealed.counter)) {
       ++rejectedReplays_;
       return;
     }
     CommandMsg plain = msg;
-    plain.body = crypto::SpeckCtr(pk.key).decrypt(counter, enc);
+    plain.body = crypto::SpeckCtr(pk.key).decrypt(sealed.counter, sealed.enc);
     acceptCommand(plain);
     return;
   }

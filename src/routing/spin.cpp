@@ -2,32 +2,16 @@
 
 namespace wmsn::routing {
 
-namespace {
-
-/// ADV and REQ carry just the data descriptor (its uid, here).
-Bytes descriptor(std::uint64_t uid, std::uint8_t hops) {
-  ByteWriter w;
-  w.u64(uid);
-  w.u8(hops);
-  return w.take();
-}
-
-std::pair<std::uint64_t, std::uint8_t> parseDescriptor(const Bytes& payload) {
-  ByteReader r(payload);
-  const std::uint64_t uid = r.u64();
-  const std::uint8_t hops = r.u8();
-  return {uid, hops};
-}
-
-}  // namespace
-
 SpinRouting::SpinRouting(net::SensorNetwork& network, net::NodeId self,
                          const NetworkKnowledge& knowledge, SpinParams params)
     : RoutingProtocol(network, self, knowledge), params_(params) {}
 
 void SpinRouting::advertise(std::uint64_t uid, std::uint8_t hops) {
+  SpinDescriptorMsg descriptor;
+  descriptor.uid = uid;
+  descriptor.hops = hops;
   net::Packet adv = makePacket(net::PacketKind::kAdv, net::kBroadcastId,
-                               descriptor(uid, hops));
+                               descriptor.encode());
   sendBroadcastJittered(std::move(adv));
 }
 
@@ -43,17 +27,16 @@ void SpinRouting::originate(Bytes appPayload) {
 void SpinRouting::onReceive(const net::Packet& packet, net::NodeId from) {
   switch (packet.kind) {
     case net::PacketKind::kAdv: {
-      const auto [uid, hops] = parseDescriptor(packet.payload);
-      if (cache_.contains(uid)) return;          // already have it
-      if (!requested_.insert(uid).second) return;  // already asked someone
-      if (!isGateway() && hops + 1u >= params_.maxHops) return;
-      net::Packet req = makePacket(net::PacketKind::kReq, from,
-                                   descriptor(uid, hops));
-      sendUnicast(from, std::move(req));
+      const auto adv = SpinDescriptorMsg::decode(packet.payload);
+      if (cache_.contains(adv.uid)) return;            // already have it
+      if (!requested_.insert(adv.uid).second) return;  // already asked someone
+      if (!isGateway() && adv.hops + 1u >= params_.maxHops) return;
+      // The REQ names the advertised descriptor.
+      sendUnicast(from, makePacket(net::PacketKind::kReq, from, adv.encode()));
       return;
     }
     case net::PacketKind::kReq: {
-      const auto [uid, hops] = parseDescriptor(packet.payload);
+      const auto [uid, hops] = SpinDescriptorMsg::decode(packet.payload);
       const auto it = cache_.find(uid);
       if (it == cache_.end()) return;  // we no longer (or never) had it
       DataMsg msg;

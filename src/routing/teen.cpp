@@ -32,10 +32,12 @@ void TeenRouting::originate(Bytes appPayload) {
 
   lastReported_ = value_;
   ++reportsSent_;
-  // Encode the actual value into the reading (the first 8 bytes).
+  // Encode the actual value into the reading (the first 8 bytes). The
+  // reading is application payload, not a routing header: DataMsg carries
+  // it as opaque bytes.
   Bytes reading = std::move(appPayload);
   if (reading.size() < 8) reading.resize(8);
-  ByteWriter w;
+  ByteWriter w;  // wmsn-lint: allow(wire-codec-discipline)
   w.f64(value_);
   std::copy(w.data().begin(), w.data().end(), reading.begin());
   LeachRouting::originate(std::move(reading));

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "crypto/ctr.hpp"
 #include "net/sensor_network.hpp"
+#include "routing/diffusion.hpp"
 #include "routing/flooding.hpp"
 #include "routing/leach.hpp"
 #include "routing/messages.hpp"
 #include "routing/mlr.hpp"
+#include "routing/secmlr.hpp"
 #include "routing/single_sink.hpp"
+#include "routing/spin.hpp"
 #include "routing/spr.hpp"
 #include "util/require.hpp"
 
@@ -208,6 +214,333 @@ ProtocolStack::Factory factoryFor(Params params) {
                   const NetworkKnowledge& k) {
     return std::make_unique<Protocol>(n, id, k, params);
   };
+}
+
+// --- wire layouts, pinned ----------------------------------------------------
+
+/// One fully populated wire message: its encoding, the exact hex that
+/// encoding must have, and a decoder that re-encodes what it read.
+struct WireCase {
+  std::string name;
+  Bytes encoded;
+  std::string hex;
+  std::function<Bytes(const Bytes&)> reencode;
+};
+
+template <typename Msg>
+WireCase wireCase(std::string name, const Msg& msg, std::string hex) {
+  return {std::move(name), msg.encode(), std::move(hex),
+          [](const Bytes& payload) { return Msg::decode(payload).encode(); }};
+}
+
+/// The payload of the first frame of `kind` a network puts on air.
+struct FirstOnAir {
+  std::optional<Bytes> payload;
+  FirstOnAir(net::SensorNetwork& network, net::PacketKind kind) {
+    network.attachFrameObserver(
+        "wire-pin",
+        [this, kind](const net::Packet& p, net::NodeId, bool transmit) {
+          if (transmit && p.kind == kind && !payload) payload = p.payload;
+        });
+  }
+};
+
+Bytes prefixOf(const Bytes& bytes, std::size_t n) {
+  return Bytes(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+std::uint64_t framesOfKind(const net::SensorNetwork& network,
+                           net::PacketKind kind) {
+  const auto& byKind = network.stats().framesByKind();
+  const auto it = byKind.find(kind);
+  return it == byKind.end() ? 0 : it->second;
+}
+
+/// Every routing wire format, byte for byte. Each field holds a distinct
+/// value, so the hex reads as the layout: little-endian integers, u16
+/// length-prefixed byte strings, u8-count paths of u16 hops, raw 8-byte
+/// MACs and 16-byte keys. Every strict prefix of an encoding must fail to
+/// decode with PreconditionError (a truncated frame is dropped, never read
+/// past its end).
+TEST(Messages, WireLayoutsArePinned) {
+  RreqMsg rreq;
+  rreq.reqId = 0x11121314;
+  rreq.targetGateway = 0x2122;
+  rreq.path = {0x3132, 0x3334};
+
+  RresMsg rres;
+  rres.reqId = 0x11121314;
+  rres.gateway = 0x2122;
+  rres.place = 0x2324;
+  rres.path = {0x3132, 0x3334, 0x3536};
+  rres.cursor = 0x4142;
+
+  DataMsg data;
+  data.source = 0x0102;
+  data.gateway = 0x0304;
+  data.place = 0x0506;
+  data.dataSeq = 0x11121314;
+  data.route = {0x2122, 0x2324};
+  data.cursor = 0x3132;
+  data.reading = {0xa1, 0xa2, 0xa3};
+
+  GatewayMoveMsg move;
+  move.gateway = 0x0102;
+  move.newPlace = 0x0304;
+  move.prevPlace = 0x0506;
+  move.round = 0x11121314;
+  move.hopCount = 0x2122;
+
+  LoadAdvisoryMsg advisory;
+  advisory.gateway = 0x0102;
+  advisory.place = 0x0304;
+  advisory.round = 0x11121314;
+  advisory.loadPermille = 0x2122;
+  advisory.hopCount = 0x2324;
+
+  CommandMsg command;
+  command.gateway = 0x0102;
+  command.target = 0x0304;
+  command.commandSeq = 0x11121314;
+  command.body = {0xb1, 0xb2};
+
+  CostBeaconMsg beacon;
+  beacon.sink = 0x0102;
+  beacon.cost = 0x0304;
+  beacon.epoch = 0x11121314;
+
+  ChAdvertMsg advert;
+  advert.round = 0x11121314;
+  ChJoinMsg join;
+  join.round = 0x21222324;
+
+  AggregateMsg aggregate;
+  aggregate.entries.push_back({0x0102030405060708ull, 0x1112, 0x21});
+  aggregate.entries.push_back({0x3132333435363738ull, 0x4142, 0x51});
+
+  SecRreqMsg secRreq;
+  secRreq.source = 0x0102;
+  secRreq.gateway = 0x0304;
+  secRreq.reqId = 0x11121314;
+  secRreq.counter = 0x2122232425262728ull;
+  secRreq.encReq = {0xe1, 0xe2, 0xe3};
+  secRreq.path = {0x3132, 0x3334};
+  secRreq.mac = {0xf1, 0xf2, 0xf3, 0xf4, 0xf5, 0xf6, 0xf7, 0xf8};
+
+  SecRresMsg secRres;
+  secRres.source = 0x0102;
+  secRres.gateway = 0x0304;
+  secRres.place = 0x0506;
+  secRres.reqId = 0x11121314;
+  secRres.counter = 0x2122232425262728ull;
+  secRres.encRes = {0xe1, 0xe2};
+  secRres.path = {0x3132, 0x3334};
+  secRres.cursor = 0x4142;
+  secRres.mac = {0xf1, 0xf2, 0xf3, 0xf4, 0xf5, 0xf6, 0xf7, 0xf8};
+
+  SecDataMsg secData;
+  secData.source = 0x0102;
+  secData.gateway = 0x0304;
+  secData.immediateSender = 0x0506;
+  secData.immediateReceiver = 0x0708;
+  secData.dataSeq = 0x11121314;
+  secData.counter = 0x2122232425262728ull;
+  secData.encData = {0xe1, 0xe2, 0xe3, 0xe4};
+  secData.mac = {0xf1, 0xf2, 0xf3, 0xf4, 0xf5, 0xf6, 0xf7, 0xf8};
+
+  SecMoveMsg secMove;
+  secMove.gateway = 0x0102;
+  secMove.teslaPayload = {0xd1, 0xd2, 0xd3};
+  secMove.interval = 0x11121314;
+  secMove.mac = {0xf1, 0xf2, 0xf3, 0xf4, 0xf5, 0xf6, 0xf7, 0xf8};
+  secMove.hopCount = 0x2122;
+
+  KeyDiscloseMsg disclose;
+  disclose.gateway = 0x0102;
+  disclose.interval = 0x11121314;
+  for (std::size_t i = 0; i < disclose.key.size(); ++i)
+    disclose.key[i] = static_cast<std::uint8_t>(0xc0 + i);
+
+  AckMsg ack;
+  ack.uid = 0x0102030405060708ull;
+
+  const std::vector<WireCase> cases = {
+      wireCase("RreqMsg", rreq, "1413121122210232313433"),
+      wireCase("RresMsg", rres,
+               "1413121122212423033231343336354241"),
+      wireCase("DataMsg", data,
+               "02010403060514131211022221242332310300a1a2a3"),
+      wireCase("GatewayMoveMsg", move, "020104030605141312112221"),
+      wireCase("LoadAdvisoryMsg", advisory, "020104031413121122212423"),
+      wireCase("CommandMsg", command, "02010403141312110200b1b2"),
+      wireCase("CostBeaconMsg", beacon, "0201040314131211"),
+      wireCase("ChAdvertMsg", advert, "14131211"),
+      wireCase("ChJoinMsg", join, "24232221"),
+      wireCase("AggregateMsg", aggregate,
+               "020008070605040302011211213837363534333231424151"),
+      wireCase("SecRreqMsg", secRreq,
+               "020104031413121128272625242322210300e1e2e30232313433"
+               "f1f2f3f4f5f6f7f8"),
+      wireCase("SecRresMsg", secRres,
+               "0201040306051413121128272625242322210200e1e2023231343342"
+               "41f1f2f3f4f5f6f7f8"),
+      wireCase("SecDataMsg", secData,
+               "02010403060508071413121128272625242322210400e1e2e3e4f1f2"
+               "f3f4f5f6f7f8"),
+      wireCase("SecMoveMsg", secMove,
+               "02010300d1d2d314131211f1f2f3f4f5f6f7f82221"),
+      wireCase("KeyDiscloseMsg", disclose,
+               "020114131211c0c1c2c3c4c5c6c7c8c9cacbcccdcecf"),
+      wireCase("AckMsg", ack, "0807060504030201"),
+  };
+  for (const WireCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(toHex(c.encoded), c.hex);
+    EXPECT_EQ(c.reencode(c.encoded), c.encoded);
+    for (std::size_t n = 0; n < c.encoded.size(); ++n)
+      EXPECT_THROW(c.reencode(prefixOf(c.encoded, n)), PreconditionError)
+          << "prefix of " << n << " bytes decoded";
+  }
+  // The bytes SecMLR's MACs cover: the packet-kind byte, then every field
+  // but the MAC itself and the per-hop path, cursor and IS/IR.
+  const std::vector<std::pair<std::string, std::string>> macInputs = {
+      {toHex(secRreq.macInput()),
+       "02020104031413121128272625242322210300e1e2e3"},
+      {toHex(secRres.macInput()),
+       "030201040306051413121128272625242322210200e1e20232313433"},
+      {toHex(secData.macInput()),
+       "04020104031413121128272625242322210400e1e2e3e4"},
+  };
+  for (const auto& [got, want] : macInputs) EXPECT_EQ(got, want);
+
+  // SecRreqMsg::Id: the query's identity, read off the first 8 bytes.
+  const Bytes query = secRreq.encode();
+  for (std::size_t n = 0; n <= query.size(); ++n) {
+    const auto id = SecRreqMsg::peekId(prefixOf(query, n));
+    ASSERT_EQ(id.has_value(), n >= 8) << n;
+    if (!id) continue;
+    EXPECT_EQ(id->source, secRreq.source);
+    EXPECT_EQ(id->gateway, secRreq.gateway);
+    EXPECT_EQ(id->reqId, secRreq.reqId);
+  }
+}
+
+/// SPIN's descriptor, diffusion's reinforcement and SecMLR's sealed command
+/// body, pinned as captured on air from live runs, so the pin holds however
+/// a protocol builds them. Their truncations are fed to live nodes, which
+/// must drop them.
+TEST(Messages, ProtocolPayloadLayoutsArePinned) {
+  // SPIN: ADV and REQ carry the data descriptor, u64 uid + u8 hops.
+  const ProtocolStack::Factory spin = [](net::SensorNetwork& n, net::NodeId id,
+                                         const NetworkKnowledge& k) {
+    return std::make_unique<SpinRouting>(n, id, k);
+  };
+  {
+    LineNet net(3, {{60.0, 0.0}}, spin);
+    FirstOnAir adv(net.network, net::PacketKind::kAdv);
+    net.stack->at(0).originate(Bytes(24, 1));
+    net.run();
+    ASSERT_TRUE(adv.payload.has_value());
+    EXPECT_EQ(toHex(*adv.payload), "010000000000000000");  // uid 1, hops 0
+
+    LineNet victim(2, {{500.0, 0.0}}, spin);
+    for (std::size_t n = 0; n < adv.payload->size(); ++n) {
+      net::Packet truncated;
+      truncated.kind = net::PacketKind::kAdv;
+      truncated.hopDst = net::kBroadcastId;
+      truncated.payload = prefixOf(*adv.payload, n);
+      victim.network.sendFrom(0, truncated);
+    }
+    victim.run();
+    EXPECT_EQ(framesOfKind(victim.network, net::PacketKind::kReq), 0u)
+        << "a truncated ADV was answered";
+  }
+
+  // Diffusion: a reinforcement names the exploratory data's origin (u16).
+  const ProtocolStack::Factory diffusion =
+      [](net::SensorNetwork& n, net::NodeId id, const NetworkKnowledge& k) {
+        return std::make_unique<DiffusionRouting>(n, id, k);
+      };
+  {
+    LineNet net(4, {{-20.0, 0.0}}, diffusion);
+    net.run(1.0);  // the sink's interest flood
+    FirstOnAir reinforce(net.network, net::PacketKind::kReinforce);
+    net.stack->at(3).originate(Bytes(24, 1));
+    net.run(3.0);
+    ASSERT_TRUE(reinforce.payload.has_value());
+    EXPECT_EQ(toHex(*reinforce.payload), "0300");  // origin: sensor 3
+
+    LineNet victim(2, {{-20.0, 0.0}}, diffusion);
+    victim.run(1.0);
+    for (std::size_t n = 0; n < reinforce.payload->size(); ++n) {
+      net::Packet truncated;
+      truncated.kind = net::PacketKind::kReinforce;
+      truncated.hopDst = 0;
+      truncated.payload = prefixOf(*reinforce.payload, n);
+      victim.network.sendFrom(victim.knowledge.gatewayIds[0], truncated);
+    }
+    victim.run();
+    EXPECT_FALSE(
+        dynamic_cast<DiffusionRouting&>(victim.stack->at(0)).reinforced())
+        << "a truncated reinforcement was followed";
+  }
+
+  // SecMLR: a command body is sealed as u64 counter, the u16
+  // length-prefixed ciphertext and the raw 8-byte MAC.
+  const auto keyring = std::make_shared<SecMlrKeyring>(SecMlrConfig{});
+  const ProtocolStack::Factory secmlr =
+      [keyring](net::SensorNetwork& n, net::NodeId id,
+                const NetworkKnowledge& k) {
+        return std::make_unique<SecMlrRouting>(n, id, k, keyring);
+      };
+  LineNet net(3, {{-20.0, 0.0}}, secmlr);
+  net.stack->beginRound(0);
+  const net::NodeId gateway = net.knowledge.gatewayIds[0];
+  auto& target = dynamic_cast<SecMlrRouting&>(net.stack->at(2));
+  int accepted = 0;
+  target.setCommandHandler([&](const CommandMsg&) { ++accepted; });
+  FirstOnAir sealed(net.network, net::PacketKind::kCommand);
+  const Bytes plain = {0xc1, 0xc2, 0xc3};
+  dynamic_cast<SecMlrRouting&>(net.stack->at(gateway)).sendCommand(2, plain);
+  net.run(2.0);
+  ASSERT_TRUE(sealed.payload.has_value());
+  // CommandMsg (gateway 3, target 2, seq 1) around the 21-byte sealed body:
+  // counter 1, 3 bytes of ciphertext, the MAC.
+  EXPECT_EQ(toHex(*sealed.payload),
+            "0300020001000000150001000000000000000300"
+            "4f8b143936d2cdb0421a6b");
+  ASSERT_EQ(accepted, 1);
+
+  // The body is exactly what the layout says, under the pair key K_2,gw.
+  CommandMsg outer = CommandMsg::decode(*sealed.payload);
+  ByteReader body(outer.body);
+  const std::uint64_t counter = body.u64();
+  const Bytes enc = body.bytes();
+  const Bytes mac = body.raw(crypto::kPacketMacSize);
+  EXPECT_TRUE(body.empty());
+  const auto& pairKey = keyring->pairKey(2, gateway);
+  EXPECT_EQ(enc, crypto::SpeckCtr(pairKey.key).encrypt(counter, plain));
+  const crypto::PacketMac expectMac =
+      crypto::packetMac(pairKey.hmac, counter, enc);
+  EXPECT_EQ(mac, Bytes(expectMac.begin(), expectMac.end()));
+
+  // Every truncation of the sealed body is dropped before the MAC check;
+  // the whole body, re-sent under a fresh sequence, reaches the counter
+  // check and is rejected there as the replay it is.
+  net::Packet forged;
+  forged.kind = net::PacketKind::kCommand;
+  forged.hopDst = net::kBroadcastId;
+  const Bytes whole = outer.body;
+  for (std::size_t n = 0; n <= whole.size(); ++n) {
+    outer.commandSeq = 1000 + static_cast<std::uint32_t>(n);
+    outer.body = prefixOf(whole, n);
+    forged.payload = outer.encode();
+    net.network.sendFrom(0, forged);
+  }
+  net.run(2.0);
+  EXPECT_EQ(accepted, 1);
+  EXPECT_EQ(target.rejectedMacs(), 0u);
+  EXPECT_EQ(target.rejectedReplays(), 1u);
 }
 
 // --- flooding / gossip ----------------------------------------------------------

@@ -579,6 +579,32 @@ def check_number_parse_discipline(f, ctx, emit):
                 "wmsn::parseNumber or parseFlag (src/util/parse.hpp)"))
 
 
+# Routing wire formats live in one place: every message's field table in
+# src/routing/messages.* drives its encode, decode and MAC input. A protocol
+# or attack that serialises with ByteWriter/ByteReader grows a private codec
+# the tables cannot see. src/crypto keeps its own byte layouts.
+_WIRE_CODEC_SCOPE = re.compile(r"^src/(routing|attacks)/")
+_WIRE_CODEC_HOME = re.compile(r"^src/routing/messages\.(cpp|hpp)$")
+_WIRE_CODEC_USE = re.compile(r"\bByte(Writer|Reader)\b")
+
+
+def check_wire_codec_discipline(f, ctx, emit):
+    if ctx.manifest.all_classes:
+        # Fixture mode: every file is in scope, and a file named messages.*
+        # stands in for the codec's home.
+        if re.search(r"(^|/)messages\.(cpp|hpp)$", f.rel):
+            return
+    elif not _WIRE_CODEC_SCOPE.search(f.rel) or _WIRE_CODEC_HOME.search(f.rel):
+        return
+    for i, line in enumerate(f.code_lines, start=1):
+        if _WIRE_CODEC_USE.search(line):
+            emit(Finding(
+                "wire-codec-discipline", f.rel, i,
+                "hand-rolled ByteWriter/ByteReader codec in a protocol; "
+                "declare the payload's field table in "
+                "src/routing/messages.hpp and use its encode()/decode()"))
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -645,6 +671,12 @@ RULES = [
          "a lenient or aborting number parse lets bad text run or crash "
          "instead of failing with a message naming the input",
          check_number_parse_discipline, inline_ok=True),
+    Rule("wire-codec-discipline", "lint",
+         "ByteWriter/ByteReader in src/routing/ or src/attacks/ outside "
+         "src/routing/messages.*",
+         "a private codec writes a layout a second time, beside the field "
+         "table that derives encode, decode and the MAC input",
+         check_wire_codec_discipline, inline_ok=True),
 ]
 
 META_RULES = {
