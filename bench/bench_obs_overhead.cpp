@@ -1,25 +1,24 @@
 // OBSOVH — what observability costs. Runs the same MLR scenario with each
 // instrumentation layer switched on in turn and reports wall-clock overhead
-// against the bare run. The contract the subsystem is built around: a null
-// (counting) trace sink must stay within ~5% of the uninstrumented run, so
-// "how many frames flew" is always affordable; serialising sinks and the
-// per-round sampler are allowed to cost more since they buffer real output.
+// against the bare run. Head-sampled span tracing and the un-armed perf
+// sites must stay cheap; full span traces and the per-round sampler are
+// allowed to cost more since they buffer real output.
 //
 //   ./bench_obs_overhead [--csv out.csv] [--reps n] [--check]
 //
 // --check enforces the observability budget and exits non-zero when it is
-// blown: the null trace sink must stay within 2% of bare, and sampled span
-// tracing (10% of readings retained) within 5%. The budget is evaluated on
-// the min-of-reps numbers — the least-perturbed samples. The reps are
-// interleaved: each rep runs bare and then every variant once, so a burst
-// of host load lands on all variants alike, not on one variant's batch.
+// blown: sampled span tracing (10% of readings retained) within 5% of bare,
+// the un-armed perf sites within 2% and the armed perf ledger within 5%.
+// The budget is evaluated on the min-of-reps numbers — the least-perturbed
+// samples. The reps are interleaved: each rep runs bare and then every
+// variant once, so a burst of host load lands on all variants alike, not on
+// one variant's batch.
 
 #include <algorithm>
 #include <chrono>
 #include <functional>
 
 #include "bench_util.hpp"
-#include "core/trace.hpp"
 
 namespace {
 
@@ -40,23 +39,17 @@ core::ScenarioConfig baseConfig() {
 struct Variant {
   std::string name;
   std::function<core::ScenarioConfig()> config;
-  /// Optional per-run hook attaching a trace sink; returns the logger so it
-  /// lives for the duration of the run.
-  obs::TraceFormat traceFormat = obs::TraceFormat::kNull;
-  bool trace = false;
 };
 
 /// Wall seconds for one build+run, timing only the run itself.
 double timeOnce(const Variant& v, std::uint64_t& events) {
   auto scenario = core::buildScenario(v.config());
-  core::TraceLogger trace(v.traceFormat);
-  if (v.trace) trace.attach(*scenario);
   core::Experiment experiment(*scenario);
   const auto start = std::chrono::steady_clock::now();
   const auto result = experiment.run();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
-  events = v.trace ? trace.rows() : result.eventsProcessed;
+  events = result.eventsProcessed;
   return elapsed.count();
 }
 
@@ -66,14 +59,12 @@ int main(int argc, char** argv) {
   const auto args = bench::parseArgs(argc, argv, bench::kRepsAndCheck);
 
   bench::banner(
-      "OBSOVH", "observability overhead (null sink, metrics, profiler)",
-      "instrumentation must not distort the experiments it measures: the "
-      "counting sink and disabled-profiler paths stay near the bare run");
+      "OBSOVH", "observability overhead (metrics, spans, profiler, perf)",
+      "instrumentation must not distort the experiments it measures: "
+      "sampled spans and the un-armed perf sites stay near the bare run");
 
   std::vector<Variant> variants;
   variants.push_back({"bare", baseConfig});
-  variants.push_back({"null-trace-sink", baseConfig,
-                      obs::TraceFormat::kNull, true});
   variants.push_back({"metrics", [] {
                         auto cfg = baseConfig();
                         cfg.obs.metrics = true;
@@ -85,10 +76,6 @@ int main(int argc, char** argv) {
                         cfg.obs.timeseries = true;
                         return cfg;
                       }});
-  variants.push_back({"csv-trace-sink", baseConfig,
-                      obs::TraceFormat::kCsv, true});
-  variants.push_back({"jsonl-trace-sink", baseConfig,
-                      obs::TraceFormat::kJsonl, true});
   variants.push_back({"trace-spans-full", [] {
                         auto cfg = baseConfig();
                         cfg.obs.traceSpans = true;
@@ -154,19 +141,18 @@ int main(int argc, char** argv) {
                      "wall-clock overhead vs bare run (min of " +
                          std::to_string(args.reps) + " reps)",
                      table);
-  std::cout << "expected shape: null-trace-sink and profile within a few "
-               "percent of bare; serialising sinks cost more because they "
-               "buffer one row per frame event.\n";
+  std::cout << "expected shape: metrics, trace-spans-sampled and "
+               "perf-disabled within a few percent of bare; full span traces "
+               "and the profiler cost more because they buffer every "
+               "lifecycle event or read the clock twice per scope.\n";
   bench::maybeWriteCsv(args, csv);
 
   if (args.check) {
     // The obs budget the PR contract enforces in CI (min-of-reps):
-    //   null-trace-sink   <= 2%  — counting frames is always affordable
     //   trace-spans-sampled <= 5% — head-sampled causal tracing stays cheap
     //   perf-disabled     <= 2%  — un-armed WMSN_PERF sites are noise
     //   perf-counters     <= 5%  — the armed ledger is one add per site
     const std::vector<std::pair<std::string, double>> budget = {
-        {"null-trace-sink", 2.0},
         {"trace-spans-sampled", 5.0},
         {"perf-disabled", 2.0},
         {"perf-counters", 5.0},

@@ -8,7 +8,6 @@
 //   ./wmsn_cli --list
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -99,9 +98,8 @@ void usage() {
       "                        fraction p in [0,1)\n"
       "  --no-failover         keep legacy routing under faults (fault flags\n"
       "                        otherwise enable MLR failover + SPR backoff)\n"
-      "  --svg <path>          write the final topology/energy heat map\n"
-      "  --trace <path>        write a per-frame event trace\n"
-      "  --trace-format <f>    csv|jsonl trace serialisation (default csv)\n"
+      "  --svg <path>          write the final topology/energy heat map of a\n"
+      "                        single run (not with --repeat)\n"
       "  --trace-spans <path>  write causal per-reading lifecycle spans as\n"
       "                        Chrome-trace-event JSONL (--repeat merges all\n"
       "                        seeds in order; byte-identical at any --threads)\n"
@@ -164,13 +162,11 @@ int main(int argc, char** argv) {
   cfg.packetsPerSensorPerRound = 2;
   cfg.attackerCount = 3;
   std::string svgPath;
-  std::string tracePath;
   std::string metricsPath;
   std::string timeseriesPath;
   std::string perfPath;
   std::string traceSpansPath;
   std::string traceAnalyzePath;
-  obs::TraceFormat traceFormat = obs::TraceFormat::kCsv;
   unsigned repeat = 1;
   unsigned threads = 0;
   std::optional<std::string> faultPlan;  // --fault-plan; the last one wins
@@ -219,14 +215,6 @@ int main(int argc, char** argv) {
         noFailover = true;
       } else if (arg == "--svg") {
         svgPath = next();
-      } else if (arg == "--trace") {
-        tracePath = next();
-      } else if (arg == "--trace-format" ||
-                 arg.rfind("--trace-format=", 0) == 0) {
-        traceFormat = obs::parseTraceFormat(
-            arg == "--trace-format"
-                ? next()
-                : arg.substr(std::strlen("--trace-format=")));
       } else if (arg == "--trace-spans") {
         traceSpansPath = next();
         cfg.obs.traceSpans = true;
@@ -268,8 +256,14 @@ int main(int argc, char** argv) {
       if ((armFailover || cfg.faults.linkLoss.enabled) && !noFailover)
         core::applySetting(cfg, "failover", "on");
     }
+    if (repeat > 1 && !svgPath.empty()) {
+      // The topology picture is of one run; --repeat keeps no scenario.
+      std::cerr << "--svg draws a single run and cannot be combined with "
+                   "--repeat\n";
+      return 2;
+    }
   } catch (const std::exception& e) {
-    // A bad setting or trace-format value: exit 2 naming the flag.
+    // A bad flag or setting value: exit 2 naming the flag.
     std::cerr << "bad " << arg << ": " << e.what() << "\n";
     return 2;
   }
@@ -398,19 +392,11 @@ int main(int argc, char** argv) {
       return 0;
     }
     auto scenario = core::buildScenario(cfg);
-    core::TraceLogger trace(traceFormat);
-    if (!tracePath.empty()) trace.attach(*scenario);
     core::Experiment experiment(*scenario);
     const auto result = experiment.run();
     if (!svgPath.empty()) {
       core::writeTopologySvg(*scenario, svgPath);
       std::cout << "(topology SVG written to " << svgPath << ")\n";
-    }
-    if (!tracePath.empty()) {
-      trace.writeFile(tracePath);
-      std::cout << "(" << toString(trace.format()) << " trace with "
-                << trace.rows() << " events written to " << tracePath
-                << ")\n";
     }
     if (!traceSpansPath.empty() && result.observations) {
       result.observations->trace.writeFile(traceSpansPath);

@@ -14,15 +14,16 @@
 #                ordering/RNG rules + absorbed lint rules + the audited
 #                suppression ledger, then its fixture self-test corpus
 #   docs         scripts/check_docs.sh CLI-flag and bench-binary
-#                documentation drift, then scripts/check_cli_input.sh (bad
-#                numbers and bench flags exit 2 by name)
+#                documentation drift, both ways, then
+#                scripts/check_cli_input.sh (bad numbers, unknown options
+#                and bench flags exit 2 by name)
 #   campaign     scripts/check_campaign.sh kill/resume/crash-containment
 #   perf         scripts/check_perf.sh perf-counter zero-perturbation
 #                (byte-identical stdout/metrics with counters armed) and
 #                the BENCH_kernel.json 1k rounds/sec smoke
 #   obs-budget   bench_obs_overhead --check observability overhead budget
-#                (null trace sink <= 2%, sampled span tracing <= 5%,
-#                perf counters off <= 2% / on <= 5%)
+#                (sampled span tracing <= 5%, perf counters off <= 2% /
+#                on <= 5%)
 #
 # and prints a per-gate summary table with wall time. Exit 0 iff no gate
 # FAILed. SKIPs are not failures — a gate whose tool is absent from the

@@ -5,7 +5,8 @@
 # names the flag or key. So must an unknown flag, a flag without its value
 # and --reps 0 given to bench_obs_overhead (the benches' shared parser), and
 # --threads given to a bench that runs no parallel sweep (those binaries are
-# found next to bench_obs_overhead). A crash (exit 134), a silent truncation
+# found next to bench_obs_overhead). An unknown wmsn_cli option (--trace) and
+# --svg with --repeat exit 2 naming the flag as well. A crash (exit 134), a silent truncation
 # (exit 0) or an "unexpected error" (exit 1) fails the check. A config validation failure (exit 1) is checked
 # too. No message may carry the checkout's absolute path: the same bad input
 # prints the same stderr from any checkout.
@@ -62,6 +63,10 @@ expect "--seed" "$cli" --seed -1
 expect "--repeat" "$cli" --repeat 4294967296
 expect "fault" "$cli" --node-mtbf abc
 expect "fault" "$cli" --fault-plan "s99999999999999999999@1"
+
+# An option that no longer exists, and a combination the CLI cannot honour.
+expect "--trace" "$cli" --trace "$work/out.csv"
+expect "--svg" "$cli" --repeat 2 --rounds 1 --svg "$work/x.svg"
 
 # A valid number that fails config validation (WMSN_REQUIRE_MSG) exits 1.
 expect_exit 1 "rounds" "$cli" --rounds 0

@@ -2,7 +2,10 @@
 # Documentation drift check, run from ctest (-L docs): every flag each
 # listed binary advertises in --help must be documented in README.md,
 # EXPERIMENTS.md or docs/METRICS.md. Adding a flag without documenting it
-# fails the suite. Every bench_* binary README.md, EXPERIMENTS.md, DESIGN.md,
+# fails the suite. The other direction too: a "| `--flag` |" table row in
+# those docs must name only flags some listed binary's --help advertises
+# (--help itself excepted), so a removed flag cannot stay documented.
+# Every bench_* binary README.md, EXPERIMENTS.md, DESIGN.md,
 # docs/*.md or the verify skill names must be built by bench/CMakeLists.txt
 # (CHANGES.md, ROADMAP.md and the fingerprinted campaigns/ specs are history).
 #
@@ -24,6 +27,7 @@ done
 
 status=0
 total=0
+advertised=""
 for bin in "${binaries[@]}"; do
   name="$(basename "$bin")"
   # Flags are the "  --name" column of the usage text.
@@ -32,11 +36,29 @@ for bin in "${binaries[@]}"; do
     echo "check_docs: extracted no flags from '$bin --help'" >&2
     exit 1
   fi
+  advertised+="$flags"$'\n'
   for flag in $flags; do
     total=$((total + 1))
     if ! grep -q -- "$flag" "${docs[@]}"; then
       echo "check_docs: $name flag '$flag' is advertised by --help but" \
            "documented in none of: ${docs[*]}" >&2
+      status=1
+    fi
+  done
+done
+
+# Every flag in the first cell of a "| `--flag` ..." table row, against the
+# union of what the binaries advertise.
+tabled=0
+for doc in "${docs[@]}"; do
+  documented=$({ grep -E '^\| `--' "$doc" || true; } | cut -d'|' -f2 |
+               { grep -oE -- '--[a-z][a-z-]*' || true; } | sort -u)
+  for flag in $documented; do
+    tabled=$((tabled + 1))
+    [ "$flag" = "--help" ] && continue
+    if ! grep -qxF -- "$flag" <<<"$advertised"; then
+      echo "check_docs: ${doc#"$srcdir"/} documents '$flag' in a flag" \
+           "table, but no binary's --help advertises it" >&2
       status=1
     fi
   done
@@ -67,6 +89,7 @@ done
 
 if [ "$status" -eq 0 ]; then
   echo "check_docs: all $total flags (${#binaries[@]} binaries) are" \
-       "documented; all $named bench names in the docs are built"
+       "documented; all $tabled flags in the docs' flag tables are" \
+       "advertised; all $named bench names in the docs are built"
 fi
 exit "$status"

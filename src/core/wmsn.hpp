@@ -24,12 +24,10 @@
 #include "core/topology_control.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
-#include "core/trace.hpp"
 #include "core/viz.hpp"
 #include "mesh/wmsn_stack.hpp"
 #include "obs/metrics.hpp"
 #include "obs/mux.hpp"
 #include "obs/profiler.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace_sink.hpp"
 #include "workload/workload.hpp"

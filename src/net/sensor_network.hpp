@@ -111,12 +111,12 @@ class SensorNetwork final : public MediumHost {
   /// retention/sampling is governed by SensorNetworkParams::trace.
   obs::PacketTracer* tracer() { return &tracer_; }
 
-  /// Per-frame observers for tracing: invoked with transmit=true when a
-  /// node hands a frame to its MAC, and transmit=false when a frame is
-  /// delivered to a node's protocol. Any number of named consumers (trace
-  /// sinks, viz hooks, workload probes) attach side by side; attaching the
-  /// same name twice REQUIRE-fails — the old single-slot setter silently
-  /// evicted whoever attached first.
+  /// Per-frame test tap: invoked with transmit=true when a node hands a
+  /// frame to its MAC, and transmit=false when a frame is delivered to a
+  /// node's protocol. Tests read on-air payloads and delivery order through
+  /// it, which no span carries; the run's trace is the span pipeline above.
+  /// Any number of named observers attach side by side; attaching the same
+  /// name twice REQUIRE-fails. Unattached, it costs one empty() branch.
   using FrameObserver =
       std::function<void(const Packet&, NodeId node, bool transmit)>;
   using FrameObserverMux = obs::ObserverMux<const Packet&, NodeId, bool>;

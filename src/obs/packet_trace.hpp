@@ -167,7 +167,7 @@ bool dumpFlightRecorder(const std::string& reason);
 /// The sanctioned hot-path emission point. Call sites guard packet kind /
 /// uid themselves; the macro only guards the tracer pointer so untraced
 /// builds pay a single branch. wmsn_analyze.py (R6-macro-discipline) bans
-/// direct emitSpan/onEvent calls outside src/obs/ — every emission in net/
+/// direct emitSpan calls outside src/obs/ — every emission in net/
 /// and routing/ must go through this macro so sampling stays centralised.
 #define WMSN_TRACE(tracer, ...)                         \
   do {                                                  \

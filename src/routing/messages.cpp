@@ -39,6 +39,19 @@ void forEachField(Msg& msg, Fn&& fn) {
       std::remove_const_t<Msg>::fields());
 }
 
+/// On-air bytes of one `T` whose table holds only unsigned integers (an
+/// aggregate entry: 8 + 2 + 1 = 11).
+template <typename T>
+constexpr std::size_t fixedWireSize() {
+  return std::apply(
+      [](auto... member) {
+        return (sizeof(std::remove_cvref_t<decltype(std::declval<T&>().*
+                                                     member)>) +
+                ...);
+      },
+      T::fields());
+}
+
 /// Writes fields little-endian, one byte at a time through `put`.
 template <typename Put>
 class Writer {
@@ -116,6 +129,10 @@ class Reader {
     } else {
       std::uint16_t n = 0;
       field(n);
+      // Bound the count by the bytes left before allocating for it.
+      WMSN_REQUIRE_MSG(
+          in_.size() - pos_ >= n * fixedWireSize<typename T::value_type>(),
+          "truncated packet");
       v.resize(n);
       for (auto& entry : v) field(entry);
     }

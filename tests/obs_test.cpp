@@ -9,7 +9,6 @@
 #include "core/wmsn.hpp"
 #include "net/sensor_network.hpp"
 #include "obs/perf_stats.hpp"
-#include "util/json.hpp"
 #include "util/require.hpp"
 
 namespace wmsn {
@@ -118,58 +117,6 @@ TEST(Histogram, RejectsNonIncreasingEdges) {
   EXPECT_THROW(obs::Histogram({1.0, 1.0}), PreconditionError);
   EXPECT_THROW(obs::Histogram({2.0, 1.0}), PreconditionError);
   EXPECT_THROW(obs::Histogram({}), PreconditionError);
-}
-
-// --- trace sinks ---------------------------------------------------------------
-
-obs::TraceEvent sampleEvent() {
-  obs::TraceEvent e;
-  e.timeSeconds = 1.5;
-  e.transmit = true;
-  e.kind = "DATA";
-  e.node = 7;
-  e.broadcast = false;
-  e.hopDst = 9;
-  e.origin = 7;
-  e.uid = 42;
-  e.bytes = 24;
-  return e;
-}
-
-TEST(TraceSinks, FormatRoundTrip) {
-  EXPECT_EQ(obs::parseTraceFormat("csv"), obs::TraceFormat::kCsv);
-  EXPECT_EQ(obs::parseTraceFormat("jsonl"), obs::TraceFormat::kJsonl);
-  EXPECT_EQ(obs::parseTraceFormat("null"), obs::TraceFormat::kNull);
-  EXPECT_THROW(obs::parseTraceFormat("xml"), PreconditionError);
-  for (auto f : {obs::TraceFormat::kCsv, obs::TraceFormat::kJsonl,
-                 obs::TraceFormat::kNull})
-    EXPECT_EQ(obs::parseTraceFormat(obs::toString(f)), f);
-}
-
-TEST(TraceSinks, JsonlEscaping) {
-  EXPECT_EQ(jsonEscape("plain"), "plain");
-  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-  EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
-TEST(TraceSinks, JsonlRowShape) {
-  obs::JsonlTraceSink sink;
-  sink.onEvent(sampleEvent());
-  EXPECT_EQ(sink.events(), 1u);
-  const std::string row = sink.str();
-  EXPECT_NE(row.find("\"event\":\"tx\""), std::string::npos);
-  EXPECT_NE(row.find("\"kind\":\"DATA\""), std::string::npos);
-  EXPECT_NE(row.find("\"uid\":42"), std::string::npos);
-  EXPECT_EQ(row.back(), '\n');
-}
-
-TEST(TraceSinks, CountingSinkCountsWithoutBuffering) {
-  obs::CountingTraceSink sink;
-  for (int i = 0; i < 1000; ++i) sink.onEvent(sampleEvent());
-  EXPECT_EQ(sink.events(), 1000u);
-  EXPECT_EQ(sink.str(), "");
 }
 
 // --- profiler ------------------------------------------------------------------
@@ -349,21 +296,24 @@ TEST(ObserverMux, MultipleFrameConsumersCoexist) {
   cfg.seed = 6;
   auto scenario = core::buildScenario(cfg);
 
-  core::TraceLogger trace;  // consumer 1: the CSV trace
-  trace.attach(*scenario);
-  std::uint64_t counted = 0;  // consumer 2: an ad-hoc counter
-  scenario->network->attachFrameObserver(
-      "test-counter",
-      [&counted](const net::Packet&, net::NodeId, bool) { ++counted; });
+  std::uint64_t first = 0;  // observer 1
+  std::uint64_t second = 0;  // observer 2
+  const auto countInto = [](std::uint64_t& counter) {
+    return [&counter](const net::Packet&, net::NodeId, bool) { ++counter; };
+  };
+  scenario->network->attachFrameObserver("test-first", countInto(first));
+  scenario->network->attachFrameObserver("test-second", countInto(second));
 
   core::Experiment experiment(*scenario);
   experiment.run();
-  EXPECT_GT(counted, 0u);
-  EXPECT_EQ(counted, trace.rows());  // both saw every frame event
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(first, second);  // both saw every frame event
 
-  // The single-slot footgun is gone, but the same consumer attaching twice
+  // The single-slot footgun is gone, but the same observer attaching twice
   // is still an error.
-  EXPECT_THROW(trace.attach(*scenario), PreconditionError);
+  EXPECT_THROW(
+      scenario->network->attachFrameObserver("test-first", countInto(first)),
+      PreconditionError);
 }
 
 // --- TrafficStats queue accounting ---------------------------------------------

@@ -4,6 +4,7 @@
 
 #include "crypto/ctr.hpp"
 #include "net/sensor_network.hpp"
+#include "obs/perf_stats.hpp"
 #include "routing/diffusion.hpp"
 #include "routing/flooding.hpp"
 #include "routing/leach.hpp"
@@ -86,6 +87,21 @@ TEST(Messages, AggregateRoundTrip) {
   ASSERT_EQ(out.entries.size(), 2u);
   EXPECT_EQ(out.entries[0].uid, 111u);
   EXPECT_EQ(out.entries[1].origin, 6);
+}
+
+TEST(Messages, AggregateDecodeChecksEntryCountBeforeAllocating) {
+  // `ff ff` claims 65,535 entries (11 B each on air) in a 2-byte frame: the
+  // decoder must reject it before it allocates room for them.
+  const Bytes frame = {0xff, 0xff};
+  obs::AllocationScope allocations;
+  try {
+    (void)AggregateMsg::decode(frame);
+    ADD_FAILURE() << "a truncated aggregate decoded";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated packet"),
+              std::string::npos);
+  }
+  EXPECT_LT(allocations.bytes(), 1024u);
 }
 
 TEST(Messages, SecureMessagesRoundTrip) {

@@ -10,6 +10,7 @@
 #include "util/bytes.hpp"
 #include "util/csv.hpp"
 #include "util/flat_map.hpp"
+#include "util/json.hpp"
 #include "util/parse.hpp"
 #include "util/random.hpp"
 #include "util/require.hpp"
@@ -55,6 +56,16 @@ TEST(FlatMap, MatchesStdMapUnderRandomOperations) {
   EXPECT_THROW((void)flat.at(~std::uint64_t{0}), PreconditionError);
   flat.clear();
   EXPECT_TRUE(flat.empty());
+}
+
+// --- jsonEscape --------------------------------------------------------------
+
+TEST(Json, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(jsonEscape("plain"), "plain");
+  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 // --- Rng -------------------------------------------------------------------

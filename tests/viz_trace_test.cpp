@@ -1,10 +1,13 @@
 // Tests for the observability subsystems: the SVG topology renderer and the
-// per-frame trace logger.
+// per-frame observer tap on the network.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "core/wmsn.hpp"
 #include "util/require.hpp"
@@ -99,7 +102,34 @@ TEST(Viz, WriteTopologySvg) {
   std::remove(path.c_str());
 }
 
-// --- trace logger ------------------------------------------------------------------
+// --- per-frame tap ---------------------------------------------------------------
+
+/// One frame event as the network's frame-observer tap reports it.
+struct FrameEvent {
+  std::int64_t timeUs;
+  net::NodeId node;
+  bool transmit;
+  net::PacketKind kind;
+  std::uint64_t uid;
+  bool operator==(const FrameEvent&) const = default;
+};
+
+/// Attaches a tap that appends every tx/rx frame event to `events`.
+void recordFrames(core::Scenario& scenario, std::vector<FrameEvent>& events) {
+  const sim::Simulator* simulator = &scenario.simulator;
+  scenario.network->attachFrameObserver(
+      "test-frame-recorder",
+      [&events, simulator](const net::Packet& packet, net::NodeId node,
+                           bool transmit) {
+        events.push_back({simulator->now().us, node, transmit, packet.kind,
+                          packet.uid});
+      });
+}
+
+bool sawKind(const std::vector<FrameEvent>& events, net::PacketKind kind) {
+  return std::any_of(events.begin(), events.end(),
+                     [kind](const FrameEvent& e) { return e.kind == kind; });
+}
 
 TEST(Trace, RecordsTxAndRxEvents) {
   core::ScenarioConfig cfg;
@@ -112,17 +142,18 @@ TEST(Trace, RecordsTxAndRxEvents) {
   cfg.packetsPerSensorPerRound = 1;
   cfg.seed = 5;
   auto scenario = core::buildScenario(cfg);
-  core::TraceLogger trace;
-  trace.attach(*scenario);
+  std::vector<FrameEvent> events;
+  recordFrames(*scenario, events);
   core::Experiment experiment(*scenario);
   const auto result = experiment.run();
   EXPECT_GT(result.delivered, 0u);
-  EXPECT_GT(trace.rows(), result.delivered);  // at least one row per frame
-  const std::string csv = trace.csv().str();
-  EXPECT_NE(csv.find("tx,"), std::string::npos);
-  EXPECT_NE(csv.find("rx,"), std::string::npos);
-  EXPECT_NE(csv.find("GW_MOVE"), std::string::npos);
-  EXPECT_NE(csv.find("DATA"), std::string::npos);
+  EXPECT_GT(events.size(), result.delivered);  // at least one per frame
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                          [](const FrameEvent& e) { return e.transmit; }));
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                          [](const FrameEvent& e) { return !e.transmit; }));
+  EXPECT_TRUE(sawKind(events, net::PacketKind::kGatewayMove));
+  EXPECT_TRUE(sawKind(events, net::PacketKind::kData));
 }
 
 TEST(Trace, DeterministicReplay) {
@@ -136,13 +167,15 @@ TEST(Trace, DeterministicReplay) {
     cfg.rounds = 1;
     cfg.seed = 6;
     auto scenario = core::buildScenario(cfg);
-    core::TraceLogger trace;
-    trace.attach(*scenario);
+    std::vector<FrameEvent> events;
+    recordFrames(*scenario, events);
     core::Experiment experiment(*scenario);
     experiment.run();
-    return trace.csv().str();
+    return events;
   };
-  EXPECT_EQ(traceOf(), traceOf());  // bit-identical event streams
+  const auto first = traceOf();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, traceOf());  // identical event streams
 }
 
 }  // namespace

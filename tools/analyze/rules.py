@@ -386,7 +386,7 @@ def check_r5(f, ctx, emit):
 # ---------------------------------------------------------------------------
 
 _TRACE_EXEMPT = re.compile(r"^(src/obs/|tests/)")
-_TRACE_CALL = re.compile(r"\b(emitSpan|onEvent)\s*\(")
+_TRACE_CALL = re.compile(r"\bemitSpan\s*\(")
 _PERF_EXEMPT = re.compile(r"^(src/obs/|tests/)")
 _PERF_CALL = re.compile(
     r"\badd\s*\(\s*(?:::\s*)?(?:wmsn\s*::\s*)?(?:obs\s*::\s*)?PerfCounter\b")
@@ -425,7 +425,7 @@ def check_r6(f, ctx, emit):
             if _TRACE_CALL.search(line):
                 emit(Finding(
                     "R6-macro-discipline", f.rel, i,
-                    "direct emitSpan()/onEvent() outside src/obs/ bypasses "
+                    "direct emitSpan() outside src/obs/ bypasses "
                     "the WMSN_TRACE null-tracer guard and the "
                     "disabled-tracing zero-cost contract "
                     "(src/obs/packet_trace.hpp)"))
