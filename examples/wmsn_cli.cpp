@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "core/wmsn.hpp"
 #include "obs/trace_analyze.hpp"
@@ -108,7 +109,9 @@ void usage() {
       "  --trace-analyze <p>   analyze a span JSONL file: reconstruct delivery\n"
       "                        paths, route flaps, reroute latency, drop\n"
       "                        attribution; print the report and exit\n"
-      "                        (--metrics-out adds wmsn_trace_* metrics JSON)\n"
+      "                        (--metrics-out adds wmsn_trace_* metrics JSON;\n"
+      "                        an output only a run writes, such as --svg,\n"
+      "                        --trace-spans or --perf-out, exits 2)\n"
       "  --flight-recorder <p> arm the crash flight recorder: on invariant\n"
       "                        failure or fatal signal, dump the last spans\n"
       "                        from the in-memory ring to <p>\n"
@@ -167,6 +170,7 @@ int main(int argc, char** argv) {
   std::string perfPath;
   std::string traceSpansPath;
   std::string traceAnalyzePath;
+  bool flightRecorder = false;
   unsigned repeat = 1;
   unsigned threads = 0;
   std::optional<std::string> faultPlan;  // --fault-plan; the last one wins
@@ -222,6 +226,7 @@ int main(int argc, char** argv) {
         traceAnalyzePath = next();
       } else if (arg == "--flight-recorder") {
         obs::setFlightRecorderPath(next());
+        flightRecorder = true;
       } else if (arg == "--metrics-out") {
         metricsPath = next();
         cfg.obs.metrics = true;
@@ -261,6 +266,23 @@ int main(int argc, char** argv) {
       std::cerr << "--svg draws a single run and cannot be combined with "
                    "--repeat\n";
       return 2;
+    }
+    if (!traceAnalyzePath.empty()) {
+      // The analysis reads a span file and runs nothing, so an output that
+      // only a run writes would be dropped without a word.
+      const std::pair<const char*, bool> runOnly[] = {
+          {"--svg", !svgPath.empty()},
+          {"--trace-spans", !traceSpansPath.empty()},
+          {"--flight-recorder", flightRecorder},
+          {"--timeseries-out", !timeseriesPath.empty()},
+          {"--perf-out", !perfPath.empty()},
+          {"--profile", cfg.obs.profile}};
+      for (const auto& [flag, given] : runOnly)
+        if (given) {
+          std::cerr << flag << " needs a simulation run and cannot be "
+                       "combined with --trace-analyze\n";
+          return 2;
+        }
     }
   } catch (const std::exception& e) {
     // A bad flag or setting value: exit 2 naming the flag.

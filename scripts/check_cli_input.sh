@@ -5,9 +5,12 @@
 # names the flag or key. So must an unknown flag, a flag without its value
 # and --reps 0 given to bench_obs_overhead (the benches' shared parser), and
 # --threads given to a bench that runs no parallel sweep (those binaries are
-# found next to bench_obs_overhead). An unknown wmsn_cli option (--trace) and
-# --svg with --repeat exit 2 naming the flag as well. A crash (exit 134), a silent truncation
-# (exit 0) or an "unexpected error" (exit 1) fails the check. A config validation failure (exit 1) is checked
+# found next to bench_obs_overhead). An unknown wmsn_cli option (--trace),
+# --svg with --repeat, and every output that only a run writes (--svg,
+# --trace-spans, --flight-recorder, --timeseries-out, --perf-out, --profile)
+# given with --trace-analyze exit 2 naming the flag as well. A crash (exit
+# 134), a silent truncation (exit 0) or an "unexpected error" (exit 1) fails
+# the check. A config validation failure (exit 1) is checked
 # too. No message may carry the checkout's absolute path: the same bad input
 # prints the same stderr from any checkout.
 #
@@ -67,6 +70,19 @@ expect "fault" "$cli" --fault-plan "s99999999999999999999@1"
 # An option that no longer exists, and a combination the CLI cannot honour.
 expect "--trace" "$cli" --trace "$work/out.csv"
 expect "--svg" "$cli" --repeat 2 --rounds 1 --svg "$work/x.svg"
+
+# --trace-analyze runs no scenario: an output only a run writes is refused
+# before the span file is read (it need not exist).
+spans="$work/none.jsonl"
+expect "--svg" "$cli" --trace-analyze "$spans" --svg "$work/an.svg"
+expect "--trace-spans" "$cli" --trace-analyze "$spans" \
+       --trace-spans "$work/an.jsonl"
+expect "--flight-recorder" "$cli" --trace-analyze "$spans" \
+       --flight-recorder "$work/fr.jsonl"
+expect "--timeseries-out" "$cli" --trace-analyze "$spans" \
+       --timeseries-out "$work/an.csv"
+expect "--perf-out" "$cli" --trace-analyze "$spans" --perf-out "$work/an.json"
+expect "--profile" "$cli" --trace-analyze "$spans" --profile
 
 # A valid number that fails config validation (WMSN_REQUIRE_MSG) exits 1.
 expect_exit 1 "rounds" "$cli" --rounds 0

@@ -28,13 +28,15 @@
 #      encoding's buffer once, to ~4.6; a closure, packet copy or
 #      byte-at-a-time payload buffer creeping back onto the per-frame path
 #      trips it deterministically. SecMLR gets its own fixed ceiling, also
-#      with no override: at most 11 allocations per transmitted frame on the
+#      with no override: at most 9 allocations per transmitted frame on the
 #      perfbench secmlr_mobile scenario (100 sensors, 3 moving gateways, 20
 #      rounds, seed 7). The shared keyring and the early duplicate-query drop
 #      (docs/KERNEL.md "SecMLR key material") brought it from ~68 to ~17.4,
-#      and the field-table codec to ~9.1; per-node key derivation, a decode
-#      of every duplicate query or a growing encode buffer coming back trips
-#      it.
+#      the field-table codec to ~9.1, and the scenario-owned flood ledger,
+#      which replaced a hash node per node per flood with one bit
+#      (docs/KERNEL.md "SecMLR flood ledger"), to ~8.3; per-node key
+#      derivation, a decode of every duplicate query, a growing encode
+#      buffer or per-node dedup sets coming back trips it.
 #   4. throughput smoke  — the 1k point of the committed kernel-scaling
 #      baseline (BENCH_kernel.json, campaigns/kernel_scale.spec) must be
 #      reproducible: best-of-3 rounds/sec within a tolerance of the
@@ -159,11 +161,12 @@ doc = json.load(open(sys.argv[1]))
 frames = doc["counters"]["frames_transmitted"]
 assert frames > 0, doc["counters"]
 per_frame = doc["telemetry"]["alloc_count"] / frames
-ceiling = 11.0
+ceiling = 9.0
 ok = per_frame <= ceiling
 print(f"check_perf: SecMLR allocation ceiling {per_frame:.2f} "
       f"allocations/frame (ceiling {ceiling:g}; ~68 before the shared "
-      f"keyring, ~17.4 before the field-table codec) "
+      f"keyring, ~17.4 before the field-table codec, ~9.1 before the "
+      f"flood ledger) "
       f"{'ok' if ok else 'EXCEEDED'}")
 sys.exit(0 if ok else 1)
 EOF

@@ -95,11 +95,11 @@ void installAttack(routing::ProtocolStack& stack, net::SensorNetwork& network,
       attacker = makeOne<routing::MlrRouting>(
           plan, tunnel, network, id, stack.knowledge(), mlrParams);
     } else {
-      auto keyring =
-          dynamic_cast<routing::SecMlrRouting&>(stack.at(id)).keyring();
+      const auto& captured =
+          dynamic_cast<routing::SecMlrRouting&>(stack.at(id));
       attacker = makeOne<routing::SecMlrRouting>(
-          plan, tunnel, network, id, stack.knowledge(), std::move(keyring),
-          mlrParams);
+          plan, tunnel, network, id, stack.knowledge(), captured.keyring(),
+          captured.ledger(), mlrParams);
     }
     stack.replace(id, std::move(attacker));
 

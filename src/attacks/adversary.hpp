@@ -71,7 +71,8 @@ class AttackerIntrospection {
 ///
 /// `mlrParams` must match the honest nodes' configuration so the insiders
 /// blend in. A SecMLR insider keeps the captured node's keyring: capture
-/// hands the attacker every key the node was flashed with.
+/// hands the attacker every key the node was flashed with. It shares the
+/// scenario's flood ledger too, starting with none of the node's marks.
 void installAttack(routing::ProtocolStack& stack, net::SensorNetwork& network,
                    const AttackPlan& plan, VictimProtocol victim,
                    const routing::MlrParams& mlrParams);

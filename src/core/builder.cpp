@@ -26,7 +26,8 @@ std::unique_ptr<net::RadioModel> makeRadio(const ScenarioConfig& config) {
   return std::make_unique<net::UnitDiskRadio>(config.radioRange);
 }
 
-routing::ProtocolStack::Factory makeFactory(const ScenarioConfig& config) {
+routing::ProtocolStack::Factory makeFactory(const ScenarioConfig& config,
+                                            std::size_t nodeCount) {
   switch (config.protocol) {
     case ProtocolKind::kFlooding:
       return [params = config.flooding](net::SensorNetwork& n, net::NodeId id,
@@ -82,13 +83,15 @@ routing::ProtocolStack::Factory makeFactory(const ScenarioConfig& config) {
         return std::make_unique<routing::MlrRouting>(n, id, k, params);
       };
     case ProtocolKind::kSecMlr:
-      // One keyring per scenario: every node's keys derive from the same
-      // master, so the nodes share what it computes.
+      // One keyring and one flood ledger per scenario: every node's keys
+      // derive from the same master, so the nodes share what it computes,
+      // and every node keeps its flood marks in one bit table.
       return [keyring = std::make_shared<routing::SecMlrKeyring>(config.secmlr),
+              ledger = std::make_shared<routing::SecMlrFloodLedger>(nodeCount),
               params = config.mlr](net::SensorNetwork& n, net::NodeId id,
                                    const routing::NetworkKnowledge& k) {
         return std::make_unique<routing::SecMlrRouting>(n, id, k, keyring,
-                                                        params);
+                                                        ledger, params);
       };
   }
   throw PreconditionError("unknown protocol kind");
@@ -154,7 +157,8 @@ std::unique_ptr<Scenario> assemble(const ScenarioConfig& config,
   }
 
   scenario->stack = std::make_unique<routing::ProtocolStack>(
-      *scenario->network, std::move(knowledge), makeFactory(cfg));
+      *scenario->network, std::move(knowledge),
+      makeFactory(cfg, scenario->network->size()));
 
   if (schedule) {
     scenario->schedule = std::move(schedule);

@@ -80,13 +80,70 @@ const crypto::Key& SecMlrKeyring::walk(const crypto::Key& key,
   return it->second;
 }
 
+SecMlrFloodLedger::SecMlrFloodLedger(std::size_t nodes)
+    : nodes_(nodes), stride_(1 + (nodes + 63) / 64) {
+  for (Table& table : tables_) {
+    table.slots.assign(64, 0);
+    table.shift = 64 - 6;
+  }
+}
+
+std::uint32_t SecMlrFloodLedger::addRow(Table& table, std::uint64_t key) {
+  WMSN_REQUIRE(table.count < std::numeric_limits<std::uint32_t>::max());
+  const std::uint32_t row = ++table.count;
+  table.rows.push_back(key);
+  table.rows.resize(table.rows.size() + stride_ - 1, 0);
+  auto place = [&table, this](std::uint32_t r) {
+    const std::size_t mask = table.slots.size() - 1;
+    std::size_t i = slotOf(table, table.rows[(r - 1) * stride_]);
+    while (table.slots[i] != 0) i = (i + 1) & mask;
+    table.slots[i] = r;
+  };
+  // Keep the index at most half full, so probes stay short.
+  if (2 * std::size_t{table.count} > table.slots.size()) {
+    table.slots.assign(2 * table.slots.size(), 0);
+    --table.shift;
+    for (std::uint32_t r = 1; r < row; ++r) place(r);
+  }
+  place(row);
+  return row;
+}
+
+bool SecMlrFloodLedger::mark(SecMlrFlood flood, std::uint64_t key,
+                             net::NodeId node) {
+  WMSN_REQUIRE(node < nodes_);
+  Table& table = tables_[static_cast<std::size_t>(flood)];
+  std::uint32_t row = rowOf(table, key);
+  if (row == 0) row = addRow(table, key);
+  std::uint64_t& word = table.rows[wordOf(row, node)];
+  const std::uint64_t bit = std::uint64_t{1} << (node % 64);
+  const bool fresh = !(word & bit);
+  word |= bit;
+  return fresh;
+}
+
+void SecMlrFloodLedger::forget(net::NodeId node) {
+  WMSN_REQUIRE(node < nodes_);
+  const std::uint64_t keep = ~(std::uint64_t{1} << (node % 64));
+  for (Table& table : tables_)
+    for (std::size_t w = 1 + node / 64; w < table.rows.size(); w += stride_)
+      table.rows[w] &= keep;
+}
+
 SecMlrRouting::SecMlrRouting(net::SensorNetwork& network, net::NodeId self,
                              const NetworkKnowledge& knowledge,
                              std::shared_ptr<SecMlrKeyring> keyring,
+                             std::shared_ptr<SecMlrFloodLedger> ledger,
                              MlrParams mlrParams)
     : MlrRouting(network, self, knowledge, mlrParams),
       keyring_(std::move(keyring)),
-      config_(keyring_->config()) {}
+      ledger_(std::move(ledger)),
+      config_(keyring_->config()) {
+  // This object starts with no marks, as a fresh per-node set would, even
+  // when it replaces a node's earlier protocol (an insider installed
+  // mid-run).
+  ledger_->forget(self);
+}
 
 void SecMlrRouting::start() {
   // Deployment-time bootstrap: every node (gateways relay floods too) is
@@ -247,8 +304,8 @@ void SecMlrRouting::handleKeyDisclose(const net::Packet& packet) {
   const KeyDiscloseMsg msg = KeyDiscloseMsg::decode(packet.payload);
   if (msg.gateway == self()) return;
 
-  const bool firstSeen =
-      seenDisclose_.insert(intervalKey(msg.gateway, msg.interval)).second;
+  const bool firstSeen = ledger_->mark(
+      SecMlrFlood::kDisclose, intervalKey(msg.gateway, msg.interval), self());
 
   auto stateIt = tesla_.find(msg.gateway);
   if (stateIt != tesla_.end()) {
@@ -414,7 +471,8 @@ void SecMlrRouting::startQuery() {
     msg.mac = crypto::packetMac(key.hmac, msg.counter, macInput);
     chargeCrypto(macInput.size() + msg.encReq.size());
 
-    seenSecRreq_.insert(rreqKey(msg.source, gw, reqId_));
+    ledger_->mark(SecMlrFlood::kQuery, rreqKey(msg.source, gw, reqId_),
+                  self());
     sendBroadcast(makePacket(net::PacketKind::kRreq, net::kBroadcastId,
                              msg.encode()));
   }
@@ -462,13 +520,14 @@ void SecMlrRouting::finishQuery() {
 void SecMlrRouting::handleSecRreq(const net::Packet& packet,
                                   net::NodeId /*from*/) {
   // A relay drops a copy of a query it has already forwarded before
-  // decoding it. Every check ahead of the seenSecRreq_ insert below returns
-  // without a side effect, so a seen (source, gateway, reqId) ends in a
-  // return either way. Gateways never insert: they collect every copy.
+  // decoding it. Every check ahead of the ledger mark below returns
+  // without a side effect, so a marked (source, gateway, reqId) ends in a
+  // return either way. Gateways never mark: they collect every copy.
   if (!isGateway()) {
     const auto id = SecRreqMsg::peekId(packet.payload);
-    if (id && seenSecRreq_.contains(rreqKey(id->source, id->gateway,
-                                            id->reqId)))
+    if (id && ledger_->marked(SecMlrFlood::kQuery,
+                              rreqKey(id->source, id->gateway, id->reqId),
+                              self()))
       return;
   }
   SecRreqMsg msg = SecRreqMsg::decode(packet.payload);
@@ -510,7 +569,8 @@ void SecMlrRouting::handleSecRreq(const net::Packet& packet,
   // relay queries addressed to other gateways — a discovered path through a
   // mobile sink would break when it moves, and gateways do not forward data.
   if (isGateway()) return;
-  if (!seenSecRreq_.insert(rreqKey(msg.source, msg.gateway, msg.reqId)).second)
+  if (!ledger_->mark(SecMlrFlood::kQuery,
+                     rreqKey(msg.source, msg.gateway, msg.reqId), self()))
     return;
   if (msg.path.size() >= config_.maxPathLength) return;
   msg.path.push_back(static_cast<std::uint16_t>(self()));

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,6 +12,7 @@
 #include "crypto/keystore.hpp"
 #include "crypto/tesla.hpp"
 #include "routing/mlr.hpp"
+#include "util/require.hpp"
 
 namespace wmsn::routing {
 
@@ -73,6 +74,78 @@ class SecMlrKeyring {
   std::map<std::pair<crypto::Key, std::uint32_t>, crypto::Key> walks_;
 };
 
+/// The two SecMLR floods a node remembers: route queries, keyed by
+/// (source, gateway, reqId), and TESLA key disclosures, keyed by (gateway,
+/// interval). The two keys pack alike (a query from source 0 is the
+/// disclosure of its reqId), so each flood has its own table.
+enum class SecMlrFlood : std::uint8_t { kQuery, kDisclose };
+
+/// Which nodes of one SecMLR scenario have marked which flood.
+///
+/// A node marks a flood when it starts or relays it and must never relay
+/// it twice. Per-node hash sets would hold one heap node per node per
+/// flood, never freed; the ledger holds the same facts for every node at
+/// once: a table maps each flood key to an ordinal, and each flood owns one
+/// row of one bit per node, allocated when the first node marks it. Each
+/// node's answers equal those of its own insert-only set: a node reads and
+/// writes only its own bit, marks are never cleared while the node's
+/// protocol object lives and are never iterated, and the keys are the
+/// packed 16-bit wire ids a per-node set would hold. A new protocol object
+/// starts with none of its node's marks (SecMlrRouting's constructor calls
+/// forget()), as a fresh set would. Not thread-safe: one scenario runs on
+/// one thread.
+class SecMlrFloodLedger {
+ public:
+  /// Rows of `nodes` bits: node ids run from 0 to nodes - 1.
+  explicit SecMlrFloodLedger(std::size_t nodes);
+
+  /// Whether `node` has marked `key`.
+  bool marked(SecMlrFlood flood, std::uint64_t key, net::NodeId node) const {
+    WMSN_REQUIRE(node < nodes_);
+    const Table& table = tables_[static_cast<std::size_t>(flood)];
+    const std::uint32_t row = rowOf(table, key);
+    return row != 0 && (table.rows[wordOf(row, node)] >> (node % 64) & 1);
+  }
+  /// Marks `key` at `node`; false when it was already marked.
+  bool mark(SecMlrFlood flood, std::uint64_t key, net::NodeId node);
+  /// Clears every mark of `node`.
+  void forget(net::NodeId node);
+
+ private:
+  /// Row r - 1 of `rows` is one flood: its key, then one bit per node.
+  /// `slots` indexes the rows by key: open addressing over r (0 = empty),
+  /// at most half full, probed linearly from the key's hash.
+  struct Table {
+    std::vector<std::uint32_t> slots;  ///< 2^(64 - shift) of them
+    unsigned shift = 0;
+    std::vector<std::uint64_t> rows;
+    std::uint32_t count = 0;
+  };
+
+  static std::size_t slotOf(const Table& table, std::uint64_t key) {
+    // Fibonacci hashing: the product's top bits depend on every key bit.
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                    table.shift);
+  }
+  /// `key`'s row + 1, or 0 when no node has marked it.
+  std::uint32_t rowOf(const Table& table, std::uint64_t key) const {
+    const std::size_t mask = table.slots.size() - 1;
+    for (std::size_t i = slotOf(table, key);; i = (i + 1) & mask) {
+      const std::uint32_t row = table.slots[i];
+      if (row == 0 || table.rows[(row - 1) * stride_] == key) return row;
+    }
+  }
+  /// The index in `rows` of the word holding `node`'s bit of row - 1.
+  std::size_t wordOf(std::uint32_t row, net::NodeId node) const {
+    return (row - 1) * stride_ + 1 + node / 64;
+  }
+  std::uint32_t addRow(Table& table, std::uint64_t key);
+
+  std::size_t nodes_;
+  std::size_t stride_;  ///< words per row: the key and the node bits
+  std::array<Table, 2> tables_;
+};
+
 /// SecMLR (§6.2) — the secure variant of MLR:
 ///
 ///  * Gateway place notifications are TESLA-authenticated (§6.2.3): nodes
@@ -97,6 +170,7 @@ class SecMlrRouting : public MlrRouting {
   SecMlrRouting(net::SensorNetwork& network, net::NodeId self,
                 const NetworkKnowledge& knowledge,
                 std::shared_ptr<SecMlrKeyring> keyring,
+                std::shared_ptr<SecMlrFloodLedger> ledger,
                 MlrParams mlrParams = {});
 
   std::string name() const override { return "secmlr"; }
@@ -122,6 +196,8 @@ class SecMlrRouting : public MlrRouting {
   bool hasSessionTo(net::NodeId gateway) const;
   /// The scenario's keyring; a captured node hands it to its insider.
   const std::shared_ptr<SecMlrKeyring>& keyring() const { return keyring_; }
+  /// The scenario's flood ledger, handed on with the keyring.
+  const std::shared_ptr<SecMlrFloodLedger>& ledger() const { return ledger_; }
 
  protected:
   /// Failover eviction: a silent gateway loses not just its place entry but
@@ -175,6 +251,7 @@ class SecMlrRouting : public MlrRouting {
   void invalidateSessionsTo(std::uint16_t gateway);
 
   std::shared_ptr<SecMlrKeyring> keyring_;
+  std::shared_ptr<SecMlrFloodLedger> ledger_;
   const SecMlrConfig& config_;
 
   // Sensor-side.
@@ -188,8 +265,6 @@ class SecMlrRouting : public MlrRouting {
   std::uint32_t queryRetries_ = 0;
   std::uint32_t reqId_ = 0;
   std::uint32_t dataSeq_ = 0;
-  std::unordered_set<std::uint64_t> seenSecRreq_;  // (src,reqId,gw) hash
-  std::unordered_set<std::uint64_t> seenDisclose_; // (gw<<32)|interval
   std::unordered_map<std::uint64_t, std::uint16_t>
       moveReflooded_;  // (gw<<32)|interval → best hopCount re-flooded
 

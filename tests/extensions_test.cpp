@@ -31,12 +31,14 @@ struct CommandNet {
     sec.tesla.intervalDuration = sim::Time::seconds(0.5);
     stack = std::make_unique<routing::ProtocolStack>(
         network, knowledge,
-        [secure, keyring = std::make_shared<routing::SecMlrKeyring>(sec)](
-            net::SensorNetwork& n, net::NodeId id,
-            const routing::NetworkKnowledge& k)
+        [secure, keyring = std::make_shared<routing::SecMlrKeyring>(sec),
+         ledger = std::make_shared<routing::SecMlrFloodLedger>(
+             network.size())](net::SensorNetwork& n, net::NodeId id,
+                              const routing::NetworkKnowledge& k)
             -> std::unique_ptr<routing::RoutingProtocol> {
           if (secure)
-            return std::make_unique<routing::SecMlrRouting>(n, id, k, keyring);
+            return std::make_unique<routing::SecMlrRouting>(n, id, k, keyring,
+                                                            ledger);
           return std::make_unique<routing::MlrRouting>(n, id, k);
         });
     stack->startAll();

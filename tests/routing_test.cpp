@@ -504,10 +504,11 @@ TEST(Messages, ProtocolPayloadLayoutsArePinned) {
   // SecMLR: a command body is sealed as u64 counter, the u16
   // length-prefixed ciphertext and the raw 8-byte MAC.
   const auto keyring = std::make_shared<SecMlrKeyring>(SecMlrConfig{});
+  const auto ledger = std::make_shared<SecMlrFloodLedger>(4);  // 3 + gateway
   const ProtocolStack::Factory secmlr =
-      [keyring](net::SensorNetwork& n, net::NodeId id,
-                const NetworkKnowledge& k) {
-        return std::make_unique<SecMlrRouting>(n, id, k, keyring);
+      [keyring, ledger](net::SensorNetwork& n, net::NodeId id,
+                        const NetworkKnowledge& k) {
+        return std::make_unique<SecMlrRouting>(n, id, k, keyring, ledger);
       };
   LineNet net(3, {{-20.0, 0.0}}, secmlr);
   net.stack->beginRound(0);

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
+#include "attacks/adversary.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/keystore.hpp"
 #include "net/sensor_network.hpp"
+#include "obs/perf_stats.hpp"
 #include "routing/secmlr.hpp"
+#include "util/random.hpp"
 #include "util/require.hpp"
 
 namespace wmsn::routing {
@@ -40,9 +46,12 @@ struct SecNet {
     knowledge.gatewayIds.push_back(network.addGateway({endX, 0.0}));
     stack = std::make_unique<ProtocolStack>(
         network, knowledge,
-        [keyring = std::make_shared<SecMlrKeyring>(config), mlrParams](
-            net::SensorNetwork& n, net::NodeId id, const NetworkKnowledge& k) {
-          return std::make_unique<SecMlrRouting>(n, id, k, keyring, mlrParams);
+        [keyring = std::make_shared<SecMlrKeyring>(config),
+         ledger = std::make_shared<SecMlrFloodLedger>(network.size()),
+         mlrParams](net::SensorNetwork& n, net::NodeId id,
+                    const NetworkKnowledge& k) {
+          return std::make_unique<SecMlrRouting>(n, id, k, keyring, ledger,
+                                                 mlrParams);
         });
     stack->startAll();
   }
@@ -386,6 +395,131 @@ TEST(SecMlrRelay, AddressedGatewayCollectsEveryCopy) {
   net.run(1.0);
   EXPECT_EQ(net.secAt(gw1).rejectedMacs(), 0u);
   EXPECT_TRUE(net.secAt(2).hasSessionTo(gw1));
+}
+
+// Relays remember queries in the scenario's flood ledger, one bit per node
+// per flood; these pin the behaviour a per-node set of seen queries gives.
+
+TEST(SecMlrRelay, FirstCopyOfAnOlderQueryAfterANewerOneIsRelayedOnce) {
+  SecNet net(4);
+  const auto gw1 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[1]);
+  const std::uint64_t before = rreqFrames(net);
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 81, {0, 1}));
+  net.run(0.5);
+  ASSERT_EQ(rreqFrames(net), before + 3);  // injected, 2's and 3's relays
+
+  // reqId 80 is older than 81 but has not been seen: relayed by 2 and 3.
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 80, {0, 1}));
+  net.run(0.5);
+  EXPECT_EQ(rreqFrames(net), before + 6);
+  // Its second copy is not.
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 80, {0, 1}));
+  net.run(0.5);
+  EXPECT_EQ(rreqFrames(net), before + 7);
+}
+
+TEST(SecMlrRelay, DuplicateCopyIsDroppedBeforeDecode) {
+  SecNet net(4);
+  const auto gw1 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[1]);
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 83, {0, 1}));
+  net.run(0.5);
+
+  // Decoding a copy allocates its ciphertext and path. Relay 2 has
+  // forwarded query 83, so a copy of it costs no allocation at all; a
+  // looping copy of an unseen query is decoded before it is rejected.
+  const net::Packet seen = rreqCopy(net, 0, gw1, 83, {0, 1});
+  const net::Packet unseen = rreqCopy(net, 0, gw1, 84, {0, 1, 0});
+  std::uint64_t seenAllocations = 0;
+  std::uint64_t unseenAllocations = 0;
+  {
+    obs::AllocationScope allocations;
+    net.secAt(2).onReceive(seen, 1);
+    seenAllocations = allocations.count();
+  }
+  {
+    obs::AllocationScope allocations;
+    net.secAt(2).onReceive(unseen, 1);
+    unseenAllocations = allocations.count();
+  }
+  EXPECT_EQ(seenAllocations, 0u);
+  EXPECT_GT(unseenAllocations, 0u);
+}
+
+TEST(SecMlrRelay, NodeReplacedByAnAttackerStartsWithNoMarks) {
+  SecNet net(4);
+  const auto gw1 = static_cast<std::uint16_t>(net.knowledge.gatewayIds[1]);
+  const std::uint64_t before = rreqFrames(net);
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 85, {0, 1}));
+  net.run(0.5);
+  ASSERT_EQ(rreqFrames(net), before + 3);
+
+  // Capture relay 2 mid-run. A grey hole routes honestly, so it relays a
+  // query it has not seen; its honest predecessor's mark is gone, while
+  // relay 3 keeps its own.
+  attacks::AttackPlan plan;
+  plan.kind = attacks::AttackKind::kSelectiveForward;
+  plan.attackers = {2};
+  attacks::installAttack(*net.stack, net.network, plan,
+                         attacks::VictimProtocol::kSecMlr, MlrParams{});
+  EXPECT_EQ(net.secAt(2).ledger(), net.secAt(3).ledger());
+  net.network.sendFrom(1, rreqCopy(net, 0, gw1, 85, {0, 1}));
+  net.run(0.5);
+  EXPECT_EQ(rreqFrames(net), before + 5);  // injected and 2's relay only
+}
+
+TEST(SecMlrFloodLedger, MatchesPerNodeSetsUnderRandomOperations) {
+  // 130 nodes span three words per row; 600 keys grow the index from 64
+  // slots to 2048. Sources above 65,535 pack by their low 16 bits, as the
+  // wire carries them, so they alias the source 65,536 below them.
+  constexpr std::size_t kNodes = 130;
+  SecMlrFloodLedger ledger(kNodes);
+  std::vector<std::unordered_set<std::uint64_t>> sets[2] = {
+      std::vector<std::unordered_set<std::uint64_t>>(kNodes),
+      std::vector<std::unordered_set<std::uint64_t>>(kNodes)};
+  Rng rng(25);
+  auto randomKey = [&rng] {
+    const auto source = static_cast<std::uint32_t>(rng.uniformInt(0, 70000));
+    const auto gateway = static_cast<std::uint16_t>(rng.uniformInt(0, 3));
+    const auto reqId = static_cast<std::uint32_t>(rng.uniformInt(0, 4));
+    return (static_cast<std::uint64_t>(source & 0xffff) << 16 | gateway)
+               << 32 |
+           reqId;
+  };
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 600; ++i) keys.push_back(randomKey());
+  keys.push_back(std::uint64_t{70000 & 0xffff} << 48);
+  keys.push_back(std::uint64_t{70000 - 65536} << 48);  // the same key
+  keys.push_back(0);
+  keys.push_back(~std::uint64_t{0});
+
+  constexpr SecMlrFlood kKinds[] = {SecMlrFlood::kQuery,
+                                    SecMlrFlood::kDisclose};
+  for (int op = 0; op < 200000; ++op) {
+    const auto flood = static_cast<std::size_t>(rng.uniformInt(0, 1));
+    const SecMlrFlood kind = kKinds[flood];
+    const auto node =
+        static_cast<net::NodeId>(rng.uniformInt(0, kNodes - 1));
+    const std::uint64_t key = keys[static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(keys.size()) - 1))];
+    const std::int64_t action = rng.uniformInt(0, 999);
+    if (action < 450) {
+      ASSERT_EQ(ledger.marked(kind, key, node), sets[flood][node].contains(key))
+          << "op " << op;
+    } else if (action < 999) {
+      ASSERT_EQ(ledger.mark(kind, key, node),
+                sets[flood][node].insert(key).second)
+          << "op " << op;
+    } else {
+      ledger.forget(node);  // a replaced protocol's fresh, empty sets
+      sets[0][node].clear();
+      sets[1][node].clear();
+    }
+  }
+  for (std::size_t flood = 0; flood < 2; ++flood)
+    for (net::NodeId node = 0; node < kNodes; ++node)
+      for (std::uint64_t key : keys)
+        ASSERT_EQ(ledger.marked(kKinds[flood], key, node),
+                  sets[flood][node].contains(key));
 }
 
 // --- the shared keyring ------------------------------------------------------------
