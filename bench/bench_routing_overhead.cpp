@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     auto scenario = core::buildScenario(configs[i]);
     core::Experiment experiment(*scenario);
     experiment.setRoundObserver([&, i](std::uint32_t round) {
-      perRound[i][round] = scenario->network->stats().controlFrames();
+      perRound[i][round] = scenario->network->medium().controlFrames();
     });
     finals.push_back(experiment.run());
   }

@@ -18,6 +18,9 @@
 #                scripts/check_cli_input.sh (bad numbers, unknown options
 #                and bench flags exit 2 by name)
 #   campaign     scripts/check_campaign.sh kill/resume/crash-containment
+#   artifacts    scripts/check_artifacts.sh: BENCH_attacks, _fault,
+#                _offered_load and _obs_overhead.json regenerate byte for
+#                byte from their campaigns/*.spec at --workers 4 (~10-20 s)
 #   perf         scripts/check_perf.sh perf-counter zero-perturbation
 #                (byte-identical stdout/metrics with counters armed) and
 #                the BENCH_kernel.json 1k rounds/sec smoke
@@ -162,6 +165,7 @@ obs_bench="$repo/build-werror/bench/bench_obs_overhead"
 if [ "$quick" -eq 1 ]; then
   note_gate docs SKIP "--quick"
   note_gate campaign SKIP "--quick"
+  note_gate artifacts SKIP "--quick"
   note_gate perf SKIP "--quick"
   note_gate obs-budget SKIP "--quick"
 else
@@ -195,7 +199,22 @@ else
     note_gate campaign SKIP "no wmsn_campaign binary (werror build failed?)"
   fi
 
-  # 9. Perf-counter discipline: arming the deterministic work-counter ledger
+  # 9. Committed artifacts: every deterministic BENCH_*.json must still
+  #    regenerate from its spec, so a change that moves a committed number
+  #    has to commit the regenerated file.
+  if [ -x "$campaign_cli" ]; then
+    if art_out="$(bash "$scriptdir/check_artifacts.sh" "$campaign_cli" \
+                  "$repo" 2>&1)"; then
+      note_gate artifacts PASS "$(echo "$art_out" | tail -1)"
+    else
+      echo "$art_out"
+      note_gate artifacts FAIL "see above"
+    fi
+  else
+    note_gate artifacts SKIP "no wmsn_campaign binary (werror build failed?)"
+  fi
+
+  # 10. Perf-counter discipline: arming the deterministic work-counter ledger
   #    must not perturb a single output byte, and the committed
   #    kernel-scaling baseline's 1k point must still be reproducible.
   if [ -x "$cli" ]; then
@@ -214,7 +233,7 @@ else
     note_gate perf SKIP "no wmsn_cli binary (werror build failed?)"
   fi
 
-  # 10. Observability overhead budget: causal tracing must not distort the
+  # 11. Observability overhead budget: causal tracing must not distort the
   #     experiments it observes. Evaluated on min-of-reps wall time, so a
   #     noisy scheduler costs retries, not false failures.
   if [ -x "$obs_bench" ]; then

@@ -26,73 +26,46 @@ std::unique_ptr<net::RadioModel> makeRadio(const ScenarioConfig& config) {
   return std::make_unique<net::UnitDiskRadio>(config.radioRange);
 }
 
+/// A factory that builds `Protocol` on every node from the same parameters.
+template <typename Protocol, typename... Params>
+routing::ProtocolStack::Factory perNode(Params... params) {
+  return [params...](net::SensorNetwork& n, net::NodeId id,
+                     const routing::NetworkKnowledge& k) {
+    return std::make_unique<Protocol>(n, id, k, params...);
+  };
+}
+
 routing::ProtocolStack::Factory makeFactory(const ScenarioConfig& config,
                                             std::size_t nodeCount) {
   switch (config.protocol) {
     case ProtocolKind::kFlooding:
-      return [params = config.flooding](net::SensorNetwork& n, net::NodeId id,
-                                        const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::FloodingRouting>(n, id, k, params);
-      };
+      return perNode<routing::FloodingRouting>(config.flooding);
     case ProtocolKind::kGossip:
-      return [params = config.flooding](net::SensorNetwork& n, net::NodeId id,
-                                        const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::GossipRouting>(n, id, k, params);
-      };
+      return perNode<routing::GossipRouting>(config.flooding);
     case ProtocolKind::kSpin:
-      return [params = config.spin](net::SensorNetwork& n, net::NodeId id,
-                                    const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::SpinRouting>(n, id, k, params);
-      };
+      return perNode<routing::SpinRouting>(config.spin);
     case ProtocolKind::kDiffusion:
-      return [params = config.diffusion](net::SensorNetwork& n,
-                                         net::NodeId id,
-                                         const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::DiffusionRouting>(n, id, k, params);
-      };
+      return perNode<routing::DiffusionRouting>(config.diffusion);
     case ProtocolKind::kLeach:
-      return [params = config.leach](net::SensorNetwork& n, net::NodeId id,
-                                     const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::LeachRouting>(n, id, k, params);
-      };
+      return perNode<routing::LeachRouting>(config.leach);
     case ProtocolKind::kPegasis:
-      return [params = config.pegasis](net::SensorNetwork& n, net::NodeId id,
-                                       const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::PegasisRouting>(n, id, k, params);
-      };
+      return perNode<routing::PegasisRouting>(config.pegasis);
     case ProtocolKind::kTeen:
-      return [teen = config.teen, leach = config.leach](
-                 net::SensorNetwork& n, net::NodeId id,
-                 const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::TeenRouting>(n, id, k, teen, leach);
-      };
+      return perNode<routing::TeenRouting>(config.teen, config.leach);
     case ProtocolKind::kSingleSink:
-      return [params = config.singleSink](net::SensorNetwork& n,
-                                          net::NodeId id,
-                                          const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::SingleSinkRouting>(n, id, k, params);
-      };
+      return perNode<routing::SingleSinkRouting>();
     case ProtocolKind::kSpr:
-      return [params = config.spr](net::SensorNetwork& n, net::NodeId id,
-                                   const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::SprRouting>(n, id, k, params);
-      };
+      return perNode<routing::SprRouting>(config.spr);
     case ProtocolKind::kMlr:
-      return [params = config.mlr](net::SensorNetwork& n, net::NodeId id,
-                                   const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::MlrRouting>(n, id, k, params);
-      };
+      return perNode<routing::MlrRouting>(config.mlr);
     case ProtocolKind::kSecMlr:
       // One keyring and one flood ledger per scenario: every node's keys
       // derive from the same master, so the nodes share what it computes,
       // and every node keeps its flood marks in one bit table.
-      return [keyring = std::make_shared<routing::SecMlrKeyring>(config.secmlr),
-              ledger = std::make_shared<routing::SecMlrFloodLedger>(nodeCount),
-              params = config.mlr](net::SensorNetwork& n, net::NodeId id,
-                                   const routing::NetworkKnowledge& k) {
-        return std::make_unique<routing::SecMlrRouting>(n, id, k, keyring,
-                                                        ledger, params);
-      };
+      return perNode<routing::SecMlrRouting>(
+          std::make_shared<routing::SecMlrKeyring>(config.secmlr),
+          std::make_shared<routing::SecMlrFloodLedger>(nodeCount),
+          config.mlr);
   }
   throw PreconditionError("unknown protocol kind");
 }
@@ -150,6 +123,7 @@ std::unique_ptr<Scenario> assemble(const ScenarioConfig& config,
     scenario->network->medium().adoptSensorLinks(std::move(*sensorLinks));
   routing::NetworkKnowledge knowledge;
   knowledge.feasiblePlaces = feasiblePlaces;
+  knowledge.readingBytes = cfg.readingBytes;
   for (std::size_t g = 0; g < initialPlaces.size(); ++g) {
     WMSN_REQUIRE(initialPlaces[g] < feasiblePlaces.size());
     knowledge.gatewayIds.push_back(

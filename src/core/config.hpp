@@ -121,7 +121,6 @@ struct ScenarioConfig {
   routing::LeachParams leach;
   routing::PegasisParams pegasis;
   routing::TeenParams teen;
-  routing::SingleSinkParams singleSink;
   routing::SprParams spr;
   routing::MlrParams mlr;
   routing::SecMlrConfig secmlr;
@@ -130,7 +129,7 @@ struct ScenarioConfig {
   std::uint32_t rounds = 10;
   sim::Time roundDuration = sim::Time::seconds(20.0);
   std::uint32_t packetsPerSensorPerRound = 1;  ///< T in eq. (3)
-  std::size_t readingBytes = 24;
+  std::size_t readingBytes = routing::NetworkKnowledge{}.readingBytes;
   /// Offset into each round before application traffic starts (discovery
   /// floods and TESLA disclosures need to settle first).
   sim::Time trafficStart = sim::Time::seconds(4.0);

@@ -215,7 +215,6 @@ RunResult Experiment::run() {
             observations_->timeseries.add(cursor->sample(
                 scenario_, round,
                 observations_->timeseries.queueDepthEdges()));
-            scenario_.network->stats().markRound();
           });
     }
     observations_->profiled = cfg.obs.profile;
@@ -303,20 +302,22 @@ RunResult Experiment::collect(std::uint32_t roundsCompleted) {
       t.latencyStats().count() ? t.latencyStats().mean() * 1e3 : 0.0;
   r.p95LatencyMs =
       t.latencyStats().count() ? t.latencyStats().percentile(95) * 1e3 : 0.0;
-  r.controlFrames = t.controlFrames();
-  r.dataFrames = t.dataFrames();
-  r.controlBytes = t.controlBytes();
-  r.dataBytes = t.dataBytes();
-  r.collisions = t.collisions();
   r.duplicateDeliveries = t.duplicateDeliveries();
   r.perGatewayDeliveries = t.perGatewayDeliveries();
 
-  r.macDrops = t.macDrops();
-  r.queueDrops = t.queueDrops();
+  const net::Medium& medium = s.network->medium();
+  r.controlFrames = medium.controlFrames();
+  r.dataFrames = medium.dataFrames();
+  r.controlBytes = medium.controlBytes();
+  r.dataBytes = medium.dataBytes();
+  r.collisions = medium.framesCorrupted();
+
   const sim::Time endTime = s.simulator.now();
   double depthIntegral = 0.0;
   for (net::NodeId id = 0; id < s.network->size(); ++id) {
     const net::Mac& mac = s.network->node(id).mac();
+    r.macDrops += mac.drops();
+    r.queueDrops += mac.queueDrops();
     r.peakQueueDepth = std::max(r.peakQueueDepth, mac.peakQueueDepth());
     depthIntegral += mac.queueDepthIntegral(endTime);
   }

@@ -4,15 +4,14 @@
 
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
-#include "routing/secmlr.hpp"
 
 namespace wmsn::core {
 
-obs::RoundSample RoundCursor::sample(const Scenario& scenario,
-                                     std::uint32_t round,
+obs::RoundSample RoundCursor::sample(Scenario& scenario, std::uint32_t round,
                                      const std::vector<double>& depthEdges) {
-  const net::SensorNetwork& network = *scenario.network;
+  net::SensorNetwork& network = *scenario.network;
   const net::TrafficStats& t = network.stats();
+  const net::Medium& medium = network.medium();
   const sim::Time now = scenario.simulator.now();
 
   obs::RoundSample s;
@@ -25,34 +24,39 @@ obs::RoundSample RoundCursor::sample(const Scenario& scenario,
                                      static_cast<double>(s.generated)
                                : 1.0;
   s.pdrCumulative = t.deliveryRatio();
-  s.controlBytes = t.controlBytes() - prevControlBytes_;
-  s.dataBytes = t.dataBytes() - prevDataBytes_;
-  s.queueDrops = t.queueDrops() - prevQueueDrops_;
-  s.macDrops = t.macDrops() - prevMacDrops_;
-  s.collisions = t.collisions() - prevCollisions_;
+  s.controlBytes = medium.controlBytes() - prevControlBytes_;
+  s.dataBytes = medium.dataBytes() - prevDataBytes_;
+  s.collisions = medium.framesCorrupted() - prevCollisions_;
 
   prevGenerated_ = t.generated();
   prevDelivered_ = t.delivered();
-  prevControlBytes_ = t.controlBytes();
-  prevDataBytes_ = t.dataBytes();
-  prevQueueDrops_ = t.queueDrops();
-  prevMacDrops_ = t.macDrops();
-  prevCollisions_ = t.collisions();
+  prevControlBytes_ = medium.controlBytes();
+  prevDataBytes_ = medium.dataBytes();
+  prevCollisions_ = medium.framesCorrupted();
 
-  // Queue depths: per-node peaks within the round window (histogram +
-  // network-wide peak) and the time-weighted mean from the integral delta.
+  // One pass over the MACs: drop totals, per-node peaks within the round
+  // window (histogram + network-wide peak), and the time-weighted mean depth
+  // from the integral delta.
+  std::uint64_t queueDrops = 0, macDrops = 0;
+  double depthIntegral = 0.0;
   s.queueDepthHist.assign(depthEdges.size() + 1, 0);
-  for (const auto& [node, peak] : t.roundPeakQueueDepthByNode()) {
-    const double depth = static_cast<double>(peak);
-    const auto it =
-        std::lower_bound(depthEdges.begin(), depthEdges.end(), depth);
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    net::Mac& mac = network.node(id).mac();
+    queueDrops += mac.queueDrops();
+    macDrops += mac.drops();
+    depthIntegral += mac.queueDepthIntegral(now);
+    const std::size_t peak = mac.takeRoundPeakQueueDepth();
+    if (peak == 0) continue;
+    const auto it = std::lower_bound(depthEdges.begin(), depthEdges.end(),
+                                     static_cast<double>(peak));
     ++s.queueDepthHist[static_cast<std::size_t>(it - depthEdges.begin())];
     s.queuePeakDepth = std::max(s.queuePeakDepth,
                                 static_cast<std::uint64_t>(peak));
   }
-  double depthIntegral = 0.0;
-  for (net::NodeId id = 0; id < network.size(); ++id)
-    depthIntegral += network.node(id).mac().queueDepthIntegral(now);
+  s.queueDrops = queueDrops - prevQueueDrops_;
+  s.macDrops = macDrops - prevMacDrops_;
+  prevQueueDrops_ = queueDrops;
+  prevMacDrops_ = macDrops;
   const double windowSeconds = now.seconds() - prevTimeSeconds_;
   if (windowSeconds > 0.0 && network.size() > 0)
     s.queueMeanDepth = (depthIntegral - prevDepthIntegral_) / windowSeconds /
@@ -91,23 +95,26 @@ void fillRegistry(const Scenario& scenario, const RunResult& result,
   const net::SensorNetwork& network = *scenario.network;
   const net::TrafficStats& t = network.stats();
 
-  // --- TrafficStats -------------------------------------------------------
-  registry.counter("wmsn_readings_generated_total", proto).add(t.generated());
-  registry.counter("wmsn_readings_delivered_total", proto).add(t.delivered());
+  // --- readings (TrafficStats) and frames (Medium) -------------------------
+  registry.counter("wmsn_readings_generated_total", proto)
+      .add(result.generated);
+  registry.counter("wmsn_readings_delivered_total", proto)
+      .add(result.delivered);
   registry.counter("wmsn_duplicate_deliveries_total", proto)
-      .add(t.duplicateDeliveries());
-  registry.counter("wmsn_control_frames_total", proto).add(t.controlFrames());
-  registry.counter("wmsn_data_frames_total", proto).add(t.dataFrames());
-  registry.counter("wmsn_control_bytes_total", proto).add(t.controlBytes());
-  registry.counter("wmsn_data_bytes_total", proto).add(t.dataBytes());
-  registry.counter("wmsn_collisions_total", proto).add(t.collisions());
-  registry.counter("wmsn_mac_drops_total", proto).add(t.macDrops());
-  registry.counter("wmsn_queue_drops_total", proto).add(t.queueDrops());
-  registry.gauge("wmsn_pdr", proto).set(t.deliveryRatio());
+      .add(result.duplicateDeliveries);
+  registry.counter("wmsn_control_frames_total", proto)
+      .add(result.controlFrames);
+  registry.counter("wmsn_data_frames_total", proto).add(result.dataFrames);
+  registry.counter("wmsn_control_bytes_total", proto).add(result.controlBytes);
+  registry.counter("wmsn_data_bytes_total", proto).add(result.dataBytes);
+  registry.counter("wmsn_collisions_total", proto).add(result.collisions);
+  registry.counter("wmsn_mac_drops_total", proto).add(result.macDrops);
+  registry.counter("wmsn_queue_drops_total", proto).add(result.queueDrops);
+  registry.gauge("wmsn_pdr", proto).set(result.deliveryRatio);
   registry.gauge("wmsn_rounds_completed", proto)
       .set(static_cast<double>(result.roundsCompleted));
 
-  for (const auto& [kind, frames] : t.framesByKind()) {
+  for (const auto& [kind, frames] : network.medium().framesByKind()) {
     obs::Labels labels = proto;
     labels.push_back({"kind", net::kindName(kind)});
     registry.counter("wmsn_frames_total", std::move(labels)).add(frames);
@@ -125,27 +132,30 @@ void fillRegistry(const Scenario& scenario, const RunResult& result,
   // Load balance: first deliveries per gateway.
   for (std::size_t g = 0; g < network.gatewayIds().size(); ++g) {
     const net::NodeId gw = network.gatewayIds()[g];
-    const auto it = t.perGatewayDeliveries().find(gw);
+    const auto it = result.perGatewayDeliveries.find(gw);
     obs::Labels labels = proto;
     labels.push_back({"gateway", std::to_string(g)});
     registry.counter("wmsn_gateway_deliveries_total", std::move(labels))
-        .add(it == t.perGatewayDeliveries().end() ? 0 : it->second);
+        .add(it == result.perGatewayDeliveries.end() ? 0 : it->second);
   }
 
-  // --- MAC queues ---------------------------------------------------------
-  for (const auto& [node, drops] : t.queueDropsByNode()) {
-    obs::Labels labels = proto;
-    labels.push_back({"node", std::to_string(node)});
-    registry.counter("wmsn_node_queue_drops_total", std::move(labels))
-        .add(drops);
-  }
+  // --- MAC queues: nodes that never dropped / never queued are absent -----
   auto& depths = registry.histogram("wmsn_node_peak_queue_depth",
                                     {1, 2, 4, 8, 16, 32}, proto);
-  for (const auto& [node, peak] : t.peakQueueDepthByNode())
-    depths.observe(static_cast<double>(peak));
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    const net::Mac& mac = network.node(id).mac();
+    if (mac.queueDrops() > 0) {
+      obs::Labels labels = proto;
+      labels.push_back({"node", std::to_string(id)});
+      registry.counter("wmsn_node_queue_drops_total", std::move(labels))
+          .add(mac.queueDrops());
+    }
+    if (mac.peakQueueDepth() > 0)
+      depths.observe(static_cast<double>(mac.peakQueueDepth()));
+  }
 
   // --- energy model -------------------------------------------------------
-  const EnergySummary sensors = summarizeSensorEnergy(network);
+  const EnergySummary& sensors = result.sensorEnergy;
   registry.gauge("wmsn_sensor_energy_total_j", proto).set(sensors.totalJ);
   registry.gauge("wmsn_sensor_energy_mean_j", proto).set(sensors.meanJ);
   registry.gauge("wmsn_sensor_energy_min_j", proto).set(sensors.minJ);
@@ -155,7 +165,7 @@ void fillRegistry(const Scenario& scenario, const RunResult& result,
   registry.gauge("wmsn_sensor_energy_jain_fairness", proto)
       .set(sensors.jainFairness);
   registry.gauge("wmsn_alive_sensors", proto)
-      .set(static_cast<double>(network.aliveSensorCount()));
+      .set(static_cast<double>(result.aliveSensors));
   // Consumed energy spread as fractions of the initial budget — the
   // dispersion view behind the D² claim.
   const double budget = scenario.config.energy.initialEnergyJ;
@@ -168,26 +178,17 @@ void fillRegistry(const Scenario& scenario, const RunResult& result,
   }
 
   // --- routing protocols --------------------------------------------------
-  std::uint64_t rejectedMacs = 0, rejectedReplays = 0, rejectedTesla = 0;
-  for (net::NodeId id = 0; id < network.size(); ++id) {
-    if (const auto* sec = dynamic_cast<const routing::SecMlrRouting*>(
-            &scenario.stack->at(id))) {
-      rejectedMacs += sec->rejectedMacs();
-      rejectedReplays += sec->rejectedReplays();
-      rejectedTesla += sec->rejectedTesla();
-    }
-  }
   if (scenario.config.protocol == ProtocolKind::kSecMlr) {
     registry.counter("wmsn_secmlr_rejected_macs_total", proto)
-        .add(rejectedMacs);
+        .add(result.rejectedMacs);
     registry.counter("wmsn_secmlr_rejected_replays_total", proto)
-        .add(rejectedReplays);
+        .add(result.rejectedReplays);
     registry.counter("wmsn_secmlr_rejected_tesla_total", proto)
-        .add(rejectedTesla);
+        .add(result.rejectedTesla);
   }
 
   registry.counter("wmsn_events_processed_total", proto)
-      .add(scenario.simulator.eventsProcessed());
+      .add(result.eventsProcessed);
 }
 
 void fillFaultMetrics(const Scenario& scenario, const RunResult& result,

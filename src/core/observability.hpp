@@ -40,8 +40,9 @@ class RoundCursor {
       : gatewayCount_(gatewayCount) {}
 
   /// Builds the sample for the round that just completed and advances the
-  /// cursor. `depthEdges` are the recorder's queue-depth bucket edges.
-  obs::RoundSample sample(const Scenario& scenario, std::uint32_t round,
+  /// cursor, which also starts every MAC's next per-round peak window.
+  /// `depthEdges` are the recorder's queue-depth bucket edges.
+  obs::RoundSample sample(Scenario& scenario, std::uint32_t round,
                           const std::vector<double>& depthEdges);
 
  private:
@@ -58,11 +59,12 @@ class RoundCursor {
   double prevTimeSeconds_ = 0.0;
 };
 
-/// Fills `registry` from the run's four instrumentation sources —
-/// TrafficStats, the per-node MAC queues, the energy model, and the routing
-/// protocols (SecMLR rejection counters) — under a {protocol} label.
-/// Deterministic: every value derives from simulation state, and export
-/// order is fixed by the registry.
+/// Fills `registry` under a {protocol} label from `result` (the run's
+/// totals, which Experiment::collect just gathered) and from the owners of
+/// the per-kind and per-node breakdowns: the medium's frames per kind, each
+/// MAC's queue drops and peak depth, each sensor's battery, and the
+/// TrafficStats hop and latency samples. Deterministic: every value derives
+/// from simulation state, and export order is fixed by the registry.
 void fillRegistry(const Scenario& scenario, const RunResult& result,
                   obs::MetricsRegistry& registry);
 

@@ -19,14 +19,13 @@ std::string toString(QueuePolicy policy) {
 
 CsmaMac::CsmaMac(Medium& medium, sim::Simulator& simulator, NodeId self,
                  Rng rng, CsmaParams params, QueueParams queue,
-                 TrafficStats* stats, obs::PacketTracer* tracer)
+                 obs::PacketTracer* tracer)
     : medium_(medium),
       simulator_(simulator),
       self_(self),
       rng_(rng),
       params_(params),
       queue_(queue),
-      stats_(stats),
       tracer_(tracer) {}
 
 void CsmaMac::send(Packet packet) {
@@ -43,7 +42,6 @@ void CsmaMac::send(Packet packet) {
   }
   if (depth_ >= queue_.capacity) {
     ++queueDrops_;
-    if (stats_) stats_->onQueueDrop(self_);
     // The victim is the newcomer under drop-tail, the stalest waiting frame
     // under drop-oldest.
     const Packet& victim =
@@ -66,11 +64,11 @@ void CsmaMac::send(Packet packet) {
   noteDepthChange();
   pushWaiting(std::move(packet));
   peakDepth_ = std::max(peakDepth_, depth_);
+  roundPeakDepth_ = std::max(roundPeakDepth_, depth_);
   WMSN_INVARIANT_MSG(
       inv::queueWithinCapacity(depth_, queue_.capacity) &&
           inv::queueWithinCapacity(peakDepth_, queue_.capacity),
       "finite MAC transmit queue depth never exceeds its capacity");
-  if (stats_) stats_->onQueueDepth(self_, depth_);
 }
 
 void CsmaMac::pushWaiting(Packet packet) {
@@ -118,7 +116,6 @@ void CsmaMac::attempt(Packet packet, std::uint32_t tries) {
   }
   if (tries + 1 >= params_.maxAttempts) {
     ++drops_;
-    if (stats_) stats_->onMacDrop();
     if (packet.kind == PacketKind::kData)
       WMSN_TRACE(tracer_, obs::TraceSpanKind::kDrop, simulator_.now().us,
                  packet.uid, self_, packet.hopDst,

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "net/medium.hpp"
-#include "net/metrics.hpp"
 #include "net/packet.hpp"
 #include "obs/packet_trace.hpp"
 #include "sim/simulator.hpp"
@@ -43,6 +42,9 @@ class Mac {
   /// Deepest the transmit queue ever got (waiting frames, excluding the one
   /// in service).
   virtual std::size_t peakQueueDepth() const { return 0; }
+  /// Deepest the transmit queue got since the previous call, which starts
+  /// the next window — the per-round depth the time series samples.
+  virtual std::size_t takeRoundPeakQueueDepth() { return 0; }
   /// Time integral of queue depth in depth-seconds up to `now` — divide by
   /// elapsed time for the time-weighted mean depth.
   virtual double queueDepthIntegral(sim::Time now) const {
@@ -80,17 +82,20 @@ struct CsmaParams {
 /// With a finite queue configured (QueueParams::capacity > 0) the MAC
 /// serves one frame at a time — jitter, backoff, then the frame's air time
 /// — while later sends wait in a bounded buffer; overflow drops per the
-/// queue policy and is reported to TrafficStats.
+/// queue policy and is counted here.
 class CsmaMac final : public Mac {
  public:
   CsmaMac(Medium& medium, sim::Simulator& simulator, NodeId self, Rng rng,
           CsmaParams params = {}, QueueParams queue = {},
-          TrafficStats* stats = nullptr, obs::PacketTracer* tracer = nullptr);
+          obs::PacketTracer* tracer = nullptr);
 
   void send(Packet packet) override;
   std::uint64_t drops() const override { return drops_; }
   std::uint64_t queueDrops() const override { return queueDrops_; }
   std::size_t peakQueueDepth() const override { return peakDepth_; }
+  std::size_t takeRoundPeakQueueDepth() override {
+    return std::exchange(roundPeakDepth_, 0);
+  }
   double queueDepthIntegral(sim::Time now) const override;
 
  private:
@@ -107,7 +112,6 @@ class CsmaMac final : public Mac {
   Rng rng_;
   CsmaParams params_;
   QueueParams queue_;
-  TrafficStats* stats_;
   obs::PacketTracer* tracer_;
 
   // Frames waiting behind the one in service: a FIFO ring of depth_ frames
@@ -120,6 +124,7 @@ class CsmaMac final : public Mac {
   std::uint64_t drops_ = 0;
   std::uint64_t queueDrops_ = 0;
   std::size_t peakDepth_ = 0;
+  std::size_t roundPeakDepth_ = 0;  ///< since the last take
   double depthIntegral_ = 0.0;  ///< depth-seconds accumulated so far
   sim::Time lastDepthChange_ = sim::Time::zero();
 };

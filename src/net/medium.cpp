@@ -25,6 +25,26 @@ sim::Time Medium::airTime(const Packet& packet) const {
       std::max<std::int64_t>(1, static_cast<std::int64_t>(seconds * 1e6)));
 }
 
+std::uint64_t Medium::framesTransmitted() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t frames : framesByKind_) total += frames;
+  return total;
+}
+
+std::map<PacketKind, std::uint64_t> Medium::framesByKind() const {
+  std::map<PacketKind, std::uint64_t> kinds;
+  for (std::size_t k = 0; k < framesByKind_.size(); ++k)
+    if (framesByKind_[k] > 0)
+      kinds.emplace(static_cast<PacketKind>(k), framesByKind_[k]);
+  return kinds;
+}
+
+std::uint64_t Medium::controlBytes() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t bytes : bytesByKind_) total += bytes;
+  return total - dataBytes();
+}
+
 void Medium::setPromiscuous(NodeId id, bool enabled) {
   if (enabled)
     promiscuous_.insert(id);
@@ -142,9 +162,7 @@ void Medium::transmitAttempt(NodeId from, const Frame& frame,
   const Point srcPos{hot_->x(from), hot_->y(from)};
   const std::size_t bits = packet.sizeBits();
 
-  ++framesTransmitted_;
-  WMSN_PERF(kFramesTransmitted);
-  host_.noteTransmit(packet.kind, packet.sizeBytes());
+  countFrame(packet);
   // Fixed transmit power sized to the nominal range (§5.2: identical power).
   host_.chargeTx(from, energy_.txCost(bits, radio_.nominalRange()));
   if (packet.kind == PacketKind::kData)
@@ -206,10 +224,7 @@ void Medium::transmitAttempt(NodeId from, const Frame& frame,
       if (rxAlive) {
         // The radio listened for the whole frame either way.
         host_.chargeRx(rx, energy_.rxCost(packet.sizeBits()));
-        if (corrupted) {
-          ++framesCorrupted_;
-          host_.noteCollision();
-        }
+        if (corrupted) ++framesCorrupted_;
         if (!corrupted && channelOk && !linkOk) ++framesLinkFaultDropped_;
       }
 
@@ -264,9 +279,7 @@ void Medium::transmitLongRange(NodeId from, NodeId to, Packet packet) {
 
   packet.hopSrc = from;
   packet.hopDst = to;
-  ++framesTransmitted_;
-  WMSN_PERF(kFramesTransmitted);
-  host_.noteTransmit(packet.kind, packet.sizeBytes());
+  countFrame(packet);
   host_.chargeTx(from, energy_.txCost(bits, d));
 
   simulator_.scheduleAt(

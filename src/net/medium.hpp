@@ -1,7 +1,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -21,10 +23,11 @@
 
 namespace wmsn::net {
 
-/// What the medium reports back to the node population: energy charges,
-/// decoded frames and traffic accounting. Implemented by SensorNetwork;
-/// keeps Medium free of ownership cycles. Positions and liveness the medium
-/// reads straight from the sim::NodeStateBlock (see setHotState).
+/// What the medium reports back to the node population: energy charges and
+/// decoded frames. Implemented by SensorNetwork; keeps Medium free of
+/// ownership cycles. Positions and liveness the medium reads straight from
+/// the sim::NodeStateBlock (see setHotState); frames, bytes and collisions
+/// it counts itself.
 class MediumHost {
  public:
   virtual ~MediumHost() = default;
@@ -37,10 +40,6 @@ class MediumHost {
   /// A frame addressed to `to` (unicast match or broadcast) decoded
   /// successfully.
   virtual void deliverFrame(NodeId to, const Packet& packet, NodeId from) = 0;
-
-  /// Traffic accounting hooks.
-  virtual void noteTransmit(PacketKind kind, std::size_t bytes) = 0;
-  virtual void noteCollision() = 0;
 };
 
 struct MediumParams {
@@ -129,7 +128,19 @@ class Medium {
   /// after construction). nullptr disables medium-level span emission.
   void setTracer(obs::PacketTracer* tracer) { tracer_ = tracer; }
 
-  std::uint64_t framesTransmitted() const { return framesTransmitted_; }
+  /// Frames put on the air (every ARQ attempt and long-range send counts;
+  /// link-layer ACKs do not), per packet kind, and the bytes they carried.
+  /// Every kind but kData is routing overhead.
+  std::uint64_t framesTransmitted() const;
+  /// The kinds that were transmitted at least once, ascending by kind.
+  std::map<PacketKind, std::uint64_t> framesByKind() const;
+  std::uint64_t dataFrames() const { return framesByKind_[kDataSlot]; }
+  std::uint64_t controlFrames() const {
+    return framesTransmitted() - dataFrames();
+  }
+  std::uint64_t dataBytes() const { return bytesByKind_[kDataSlot]; }
+  std::uint64_t controlBytes() const;
+  /// Receptions lost to overlapping transmissions — the one collision count.
   std::uint64_t framesCorrupted() const { return framesCorrupted_; }
   std::uint64_t arqRetransmissions() const { return arqRetransmissions_; }
   /// Frames a receiver would have decoded but for Gilbert–Elliott loss.
@@ -153,9 +164,16 @@ class Medium {
   /// One immutable frame per transmission, shared by every receiver's
   /// end-of-air event and by the ARQ retries of the same frame.
   using Frame = std::shared_ptr<const Packet>;
+  static constexpr auto kDataSlot = static_cast<std::size_t>(PacketKind::kData);
 
   void transmitAttempt(NodeId from, const Frame& frame,
                        std::uint32_t retriesLeft);
+  void countFrame(const Packet& packet) {
+    WMSN_PERF(kFramesTransmitted);
+    const auto kind = static_cast<std::size_t>(packet.kind);
+    ++framesByKind_[kind];
+    bytesByKind_[kind] += packet.sizeBytes();
+  }
   std::uint32_t acquireReception(sim::Time start, sim::Time end);
   void releaseReception(std::uint32_t index);
   fault::GilbertElliottChain& chainFor(NodeId rx);
@@ -191,7 +209,8 @@ class Medium {
   /// ascending. Gateway-to-gateway links are tested per transmission.
   std::vector<std::vector<std::uint32_t>> gatewayRows_;
   std::unordered_set<NodeId> promiscuous_;
-  std::uint64_t framesTransmitted_ = 0;
+  std::array<std::uint64_t, kPacketKindSlots> framesByKind_{};
+  std::array<std::uint64_t, kPacketKindSlots> bytesByKind_{};
   std::uint64_t framesCorrupted_ = 0;
   std::uint64_t arqRetransmissions_ = 0;
   std::unordered_map<NodeId, fault::GilbertElliottChain> linkChains_;

@@ -24,22 +24,9 @@ bool TrafficStats::onDelivered(std::uint64_t uid, NodeId origin,
   return true;
 }
 
-void TrafficStats::onTransmit(PacketKind kind, std::size_t bytes) {
-  ++framesByKind_[kind];
-  if (kind != PacketKind::kData) {
-    ++controlFrames_;
-    controlBytes_ += bytes;
-  } else {
-    ++dataFrames_;
-    dataBytes_ += bytes;
-  }
-}
-
 double TrafficStats::deliveryRatio() const {
   if (generated_ == 0) return 1.0;
   return static_cast<double>(delivered()) / static_cast<double>(generated_);
 }
-
-void TrafficStats::reset() { *this = TrafficStats{}; }
 
 }  // namespace wmsn::net

@@ -12,9 +12,12 @@
 
 namespace wmsn::net {
 
-/// Network-wide traffic accounting, fed by the medium and the routing
-/// protocols. Delivery is deduplicated by packet uid (flooding delivers many
-/// copies; the application counts a reading once).
+/// Network-wide reading accounting, fed by the routing protocols: readings
+/// generated and delivered, their hops, latency and gateway. Delivery is
+/// deduplicated by packet uid (flooding delivers many copies; the
+/// application counts a reading once). Link-level facts live with their
+/// layer: frames, bytes and collisions in net::Medium, channel-access and
+/// queue drops and queue depths in each node's net::Mac.
 class TrafficStats {
  public:
   void onGenerated(std::uint64_t uid, NodeId origin, sim::Time when);
@@ -24,54 +27,10 @@ class TrafficStats {
   bool onDelivered(std::uint64_t uid, NodeId origin, NodeId gateway,
                    std::uint32_t hops, sim::Time when);
 
-  /// A frame left some radio; control kinds count as routing overhead.
-  void onTransmit(PacketKind kind, std::size_t bytes);
-
-  void onMacDrop() { ++macDrops_; }
-  /// A frame was rejected or evicted by `node`'s full finite transmit queue
-  /// — the congestion-loss signal of the workload engine's capacity
-  /// experiments, attributed per node so the time-series recorder can show
-  /// where the congestion sits.
-  void onQueueDrop(NodeId node) {
-    ++queueDrops_;
-    ++queueDropsByNode_[node];
-  }
-  /// `node`'s transmit queue grew to `depth` waiting frames. Tracks the
-  /// all-time and the since-last-round-mark peak per node.
-  void onQueueDepth(NodeId node, std::size_t depth) {
-    std::size_t& peak = peakQueueDepthByNode_[node];
-    if (depth > peak) peak = depth;
-    std::size_t& roundPeak = roundPeakQueueDepthByNode_[node];
-    if (depth > roundPeak) roundPeak = depth;
-  }
-  void onCollision() { ++collisions_; }
-
   std::uint64_t generated() const { return generated_; }
   std::uint64_t delivered() const { return deliveredUids_.size(); }
   double deliveryRatio() const;
 
-  std::uint64_t controlFrames() const { return controlFrames_; }
-  std::uint64_t dataFrames() const { return dataFrames_; }
-  std::uint64_t controlBytes() const { return controlBytes_; }
-  std::uint64_t dataBytes() const { return dataBytes_; }
-  std::uint64_t macDrops() const { return macDrops_; }
-  std::uint64_t queueDrops() const { return queueDrops_; }
-  std::uint64_t collisions() const { return collisions_; }
-  /// Per-node congestion views (ordered by node id for deterministic
-  /// export). Nodes that never dropped / never queued are absent.
-  const std::map<NodeId, std::uint64_t>& queueDropsByNode() const {
-    return queueDropsByNode_;
-  }
-  const std::map<NodeId, std::size_t>& peakQueueDepthByNode() const {
-    return peakQueueDepthByNode_;
-  }
-  /// Peak depth per node since the last markRound() — the per-round
-  /// queue-depth histogram's input.
-  const std::map<NodeId, std::size_t>& roundPeakQueueDepthByNode() const {
-    return roundPeakQueueDepthByNode_;
-  }
-  /// Starts a new per-round accounting window (round boundary).
-  void markRound() { roundPeakQueueDepthByNode_.clear(); }
   /// Deliveries of an already-delivered uid — what a replay attack inflates
   /// when the protocol lacks freshness counters.
   std::uint64_t duplicateDeliveries() const { return duplicateDeliveries_; }
@@ -85,13 +44,6 @@ class TrafficStats {
     return perGateway_;
   }
 
-  /// Frames transmitted per packet kind — the overhead breakdown.
-  const std::map<PacketKind, std::uint64_t>& framesByKind() const {
-    return framesByKind_;
-  }
-
-  void reset();
-
   /// Invoked on each FIRST delivery of a uid — the hook the three-tier
   /// WMSN stack uses to hand the reading from the sensor tier to the mesh
   /// tier at the receiving gateway.
@@ -104,23 +56,12 @@ class TrafficStats {
  private:
   DeliveryCallback onFirstDelivery_;
   std::uint64_t generated_ = 0;
-  std::uint64_t controlFrames_ = 0;
-  std::uint64_t dataFrames_ = 0;
-  std::uint64_t controlBytes_ = 0;
-  std::uint64_t dataBytes_ = 0;
-  std::uint64_t macDrops_ = 0;
-  std::uint64_t queueDrops_ = 0;
-  std::uint64_t collisions_ = 0;
-  std::map<NodeId, std::uint64_t> queueDropsByNode_;
-  std::map<NodeId, std::size_t> peakQueueDepthByNode_;
-  std::map<NodeId, std::size_t> roundPeakQueueDepthByNode_;
   std::uint64_t duplicateDeliveries_ = 0;
   std::unordered_map<std::uint64_t, sim::Time> genTime_;
   std::unordered_set<std::uint64_t> deliveredUids_;
   SampleStats hops_;
   SampleStats latency_;
   std::map<NodeId, std::uint64_t> perGateway_;
-  std::map<PacketKind, std::uint64_t> framesByKind_;
 };
 
 }  // namespace wmsn::net

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -33,6 +34,9 @@ enum class PacketKind : std::uint8_t {
   kInterest = 15,     ///< Directed Diffusion interest flood (§2.2.1)
   kReinforce = 16,    ///< Directed Diffusion positive reinforcement
 };
+/// Array slots indexed by PacketKind value: one past the last enumerator.
+inline constexpr std::size_t kPacketKindSlots =
+    static_cast<std::size_t>(PacketKind::kReinforce) + 1;
 
 std::string toString(PacketKind kind);
 /// Static-lifetime kind name — the allocation-free variant trace sinks use

@@ -42,8 +42,7 @@ NodeId SensorNetwork::addNode(NodeKind kind, Point position) {
     case MacKind::kCsma:
       node->setMac(std::make_unique<CsmaMac>(*medium_, simulator_, id,
                                              rng_.fork(), params_.csma,
-                                             params_.queue, &stats_,
-                                             &tracer_));
+                                             params_.queue, &tracer_));
       break;
   }
   nodes_.push_back(std::move(node));
@@ -182,10 +181,6 @@ void SensorNetwork::deliverFrame(NodeId to, const Packet& packet,
   if (!frameObservers_.empty())
     frameObservers_.notify(packet, to, /*transmit=*/false);
   node(to).receive(packet, from);
-}
-
-void SensorNetwork::noteTransmit(PacketKind kind, std::size_t bytes) {
-  stats_.onTransmit(kind, bytes);
 }
 
 }  // namespace wmsn::net

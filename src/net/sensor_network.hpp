@@ -38,7 +38,7 @@ struct SensorNetworkParams {
 };
 
 /// One low-tier wireless sensor network: the node population, the shared
-/// radio medium, and traffic/energy accounting. Routing protocols attach per
+/// radio medium, and reading/energy accounting. Routing protocols attach per
 /// node via receive handlers and the send API.
 class SensorNetwork final : public MediumHost {
  public:
@@ -97,6 +97,7 @@ class SensorNetwork final : public MediumHost {
   // --- protocol-facing services ------------------------------------------
   sim::Simulator& simulator() { return simulator_; }
   Medium& medium() { return *medium_; }
+  const Medium& medium() const { return *medium_; }
   const RadioModel& radio() const { return *radio_; }
   const EnergyParams& energyParams() const { return params_.energy; }
   TrafficStats& stats() { return stats_; }
@@ -146,8 +147,6 @@ class SensorNetwork final : public MediumHost {
   void chargeTx(NodeId id, double joules) override;
   void chargeRx(NodeId id, double joules) override;
   void deliverFrame(NodeId to, const Packet& packet, NodeId from) override;
-  void noteTransmit(PacketKind kind, std::size_t bytes) override;
-  void noteCollision() override { stats_.onCollision(); }
 
  private:
   NodeId addNode(NodeKind kind, Point position);

@@ -79,7 +79,7 @@ void DiffusionRouting::sendExploratory(std::uint64_t uid) {
   msg.gateway = static_cast<std::uint16_t>(knowledge().gatewayIds.front());
   msg.place = kExploratory;
   msg.dataSeq = seq_;
-  msg.reading = Bytes(params_.readingBytes, 0xdd);
+  msg.reading = Bytes(knowledge().readingBytes, 0xdd);
   net::Packet pkt =
       makePacket(net::PacketKind::kData, net::kBroadcastId, msg.encode());
   pkt.uid = uid;
@@ -93,7 +93,7 @@ void DiffusionRouting::sendReinforced(std::uint64_t uid) {
   msg.gateway = static_cast<std::uint16_t>(knowledge().gatewayIds.front());
   msg.place = kReinforced;
   msg.dataSeq = seq_;
-  msg.reading = Bytes(params_.readingBytes, 0xdd);
+  msg.reading = Bytes(knowledge().readingBytes, 0xdd);
   net::Packet pkt =
       makePacket(net::PacketKind::kData, *reinforcedNext_, msg.encode());
   pkt.uid = uid;

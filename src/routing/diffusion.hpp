@@ -12,7 +12,6 @@ namespace wmsn::routing {
 
 struct DiffusionParams {
   std::uint8_t maxHops = 32;
-  std::size_t readingBytes = 24;
 };
 
 /// Directed Diffusion (§2.2.1, ref [22]): the sink floods an *interest*;

@@ -8,7 +8,6 @@ namespace wmsn::routing {
 
 struct FloodingParams {
   std::uint8_t maxHops = 32;       ///< TTL cap ("maximum number of hops")
-  std::size_t readingBytes = 24;   ///< app payload size per sensed value
 };
 
 /// Classic flooding (§2.2.1): every node rebroadcasts the first copy of each

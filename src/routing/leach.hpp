@@ -13,7 +13,6 @@ struct LeachParams {
   sim::Time advertWindow = sim::Time::seconds(0.5);
   sim::Time joinWindow = sim::Time::seconds(0.5);
   sim::Time aggregateDelay = sim::Time::seconds(2.0);
-  std::size_t readingBytes = 24;
 };
 
 /// LEACH (§2.2.2, ref [17]): 2-level clustering with randomised cluster-head

@@ -26,7 +26,6 @@ struct MlrParams {
 
   std::uint32_t maxRetransmits = 2;
   sim::Time ackTimeout = sim::Time::seconds(0.1);
-  std::size_t readingBytes = 24;
 
   /// Our extension (off by default, benched as an ablation): weight route
   /// choice by hops + energyPenalty/remaining-energy of the next hop.

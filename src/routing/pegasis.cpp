@@ -122,7 +122,7 @@ void PegasisRouting::scheduleLeaderFlush() {
     // Perfect fusion: one constant-size packet on the air, whatever it
     // represents; the entry list rides as simulator bookkeeping.
     net::Packet pkt = makePacket(net::PacketKind::kData, sink,
-                                 Bytes(params_.readingBytes, 0xf5));
+                                 Bytes(knowledge().readingBytes, 0xf5));
     pkt.meta = out.encode();
     pkt.finalDst = sink;
     pkt.seq = ++seq_;
@@ -149,7 +149,7 @@ void PegasisRouting::passAlong(AggregateMsg aggregate, std::uint8_t hops) {
   for (auto& entry : aggregate.entries)
     entry.hops = static_cast<std::uint8_t>(hops);
   net::Packet pkt = makePacket(net::PacketKind::kData, nextHop,
-                               Bytes(params_.readingBytes, 0xf5));
+                               Bytes(knowledge().readingBytes, 0xf5));
   pkt.meta = aggregate.encode();
   pkt.seq = ++seq_;
   network().sendLongRangeFrom(self(), nextHop, std::move(pkt));

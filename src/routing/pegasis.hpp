@@ -15,7 +15,6 @@ struct PegasisParams {
   /// How long the leader waits after the first arriving bundle for the
   /// sweep from the other chain arm.
   sim::Time leaderHoldoff = sim::Time::seconds(0.5);
-  std::size_t readingBytes = 24;
 };
 
 /// PEGASIS (§2.2.2, ref [25]): "nodes need only communicate with their

@@ -11,11 +11,16 @@
 namespace wmsn::routing {
 
 /// Static knowledge shared by all nodes at deployment time: the feasible
-/// gateway places (MLR, §5.3) and which node ids are gateways. Real
-/// deployments flash this into node firmware; it never changes at runtime.
+/// gateway places (MLR, §5.3), which node ids are gateways, and the size of
+/// one sensed reading. Real deployments flash this into node firmware; it
+/// never changes at runtime.
 struct NetworkKnowledge {
   std::vector<net::Point> feasiblePlaces;
   std::vector<net::NodeId> gatewayIds;
+  /// Application payload bytes per reading, for the protocols that build
+  /// readings themselves (SPIN, diffusion, PEGASIS). The scenario builder
+  /// fills it from ScenarioConfig::readingBytes, which defaults to this.
+  std::size_t readingBytes = 24;
 };
 
 /// Per-node routing protocol instance. Lives next to its node; all

@@ -25,7 +25,6 @@ struct SecMlrConfig {
   sim::Time responseWindow = sim::Time::seconds(1.2);
   std::uint32_t maxQueryRetries = 2;
   std::uint8_t maxPathLength = 32;
-  std::size_t readingBytes = 24;
 };
 
 /// The key material of one SecMLR scenario, shared by all its nodes.

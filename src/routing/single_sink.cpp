@@ -7,9 +7,8 @@ namespace wmsn::routing {
 
 SingleSinkRouting::SingleSinkRouting(net::SensorNetwork& network,
                                      net::NodeId self,
-                                     const NetworkKnowledge& knowledge,
-                                     SingleSinkParams params)
-    : RoutingProtocol(network, self, knowledge), params_(params) {
+                                     const NetworkKnowledge& knowledge)
+    : RoutingProtocol(network, self, knowledge) {
   WMSN_REQUIRE_MSG(!knowledge.gatewayIds.empty(),
                    "single-sink baseline needs a sink");
 }

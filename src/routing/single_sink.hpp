@@ -7,10 +7,6 @@
 
 namespace wmsn::routing {
 
-struct SingleSinkParams {
-  std::size_t readingBytes = 24;
-};
-
 /// Minimum-cost forwarding toward a single sink (MCFA, §2.2.1 — the flat
 /// single-sink architecture the paper argues against). The sink floods a
 /// hop-count beacon; every node keeps its least cost and the neighbour it
@@ -23,8 +19,7 @@ struct SingleSinkParams {
 class SingleSinkRouting final : public RoutingProtocol {
  public:
   SingleSinkRouting(net::SensorNetwork& network, net::NodeId self,
-                    const NetworkKnowledge& knowledge,
-                    SingleSinkParams params = {});
+                    const NetworkKnowledge& knowledge);
 
   std::string name() const override { return "single-sink"; }
   void start() override;
@@ -38,7 +33,6 @@ class SingleSinkRouting final : public RoutingProtocol {
   bool isTheSink() const;
   void beacon();
 
-  SingleSinkParams params_;
   std::uint32_t epoch_ = 0;
   std::optional<std::uint16_t> cost_;
   std::optional<net::NodeId> parent_;

@@ -43,7 +43,7 @@ void SpinRouting::onReceive(const net::Packet& packet, net::NodeId from) {
       msg.source = static_cast<std::uint16_t>(self());
       msg.gateway = kAllGateways;
       msg.dataSeq = ++seq_;
-      msg.reading = Bytes(params_.readingBytes, 0x5b);
+      msg.reading = Bytes(knowledge().readingBytes, 0x5b);
       net::Packet data =
           makePacket(net::PacketKind::kData, from, msg.encode());
       data.uid = uid;

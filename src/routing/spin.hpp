@@ -10,7 +10,6 @@ namespace wmsn::routing {
 
 struct SpinParams {
   std::uint8_t maxHops = 32;
-  std::size_t readingBytes = 24;
   std::size_t advBytes = 8;  ///< metadata descriptor size
 };
 

@@ -22,7 +22,6 @@ struct SprParams {
   bool answerFromCache = true;
   std::uint32_t maxQueryRetries = 1;
   std::uint8_t maxPathLength = 32;
-  std::size_t readingBytes = 24;
   /// Fault-resilience hardening: wait this long before the first re-flood
   /// of a failed discovery, doubling per retry (bounded). Zero (default)
   /// keeps the legacy immediate retry. Retries never cross a round boundary

@@ -81,7 +81,7 @@ TEST(Pegasis, ReadingsFuseAlongChainToSink) {
   EXPECT_EQ(net.network.stats().delivered(), 5u);
   // One sweep: 4 chain links + 1 leader uplink — fusion, not per-reading
   // relaying.
-  EXPECT_LE(net.network.stats().dataFrames(), 6u);
+  EXPECT_LE(net.network.medium().dataFrames(), 6u);
 }
 
 TEST(Pegasis, SurvivesDeadChainMember) {

@@ -89,6 +89,30 @@ TEST(Builder, ExplicitLayoutRespected) {
             (net::Point{-20, 0}));
 }
 
+TEST(Builder, ReadingBytesReachProtocolBuiltReadings) {
+  // SPIN, diffusion and PEGASIS put readings they build themselves on the
+  // air; every one of their data frames carries one reading, so the
+  // scenario's reading size moves bytes per data frame one for one.
+  for (const ProtocolKind kind : {ProtocolKind::kSpin,
+                                  ProtocolKind::kDiffusion,
+                                  ProtocolKind::kPegasis}) {
+    SCOPED_TRACE(toString(kind));
+    double bytesPerFrame[2] = {0.0, 0.0};
+    const std::size_t sizes[2] = {24, 48};
+    for (int i = 0; i < 2; ++i) {
+      ScenarioConfig cfg = smallConfig();
+      cfg.protocol = kind;
+      cfg.rounds = 2;
+      cfg.readingBytes = sizes[i];
+      const RunResult r = runScenario(cfg);
+      ASSERT_GT(r.dataFrames, 0u);
+      bytesPerFrame[i] = static_cast<double>(r.dataBytes) /
+                         static_cast<double>(r.dataFrames);
+    }
+    EXPECT_DOUBLE_EQ(bytesPerFrame[1] - bytesPerFrame[0], 24.0);
+  }
+}
+
 // --- metrics ---------------------------------------------------------------------
 
 TEST(Metrics, EnergySummaryMatchesPaperDefinitions) {

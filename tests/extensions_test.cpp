@@ -212,7 +212,7 @@ TEST(LoadBalance, NoAdvisoryBelowThreshold) {
   auto scenario = core::buildScenario(cfg);
   core::Experiment experiment(*scenario);
   experiment.run();
-  EXPECT_EQ(scenario->network->stats().framesByKind().count(
+  EXPECT_EQ(scenario->network->medium().framesByKind().count(
                 net::PacketKind::kLoadAdvisory),
             0u);
 }

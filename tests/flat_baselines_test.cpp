@@ -56,7 +56,7 @@ TEST(Spin, NegotiatedDeliveryAcrossHops) {
   net.stack->at(0).originate(Bytes(24, 1));
   net.run(5.0);
   EXPECT_EQ(net.network.stats().delivered(), 1u);
-  const auto& kinds = net.network.stats().framesByKind();
+  const auto& kinds = net.network.medium().framesByKind();
   // The three-way handshake happened at every hop.
   EXPECT_GE(kinds.at(net::PacketKind::kAdv), 5u);
   EXPECT_GE(kinds.at(net::PacketKind::kReq), 5u);
@@ -70,7 +70,7 @@ TEST(Spin, NoDuplicateDataTransmissions) {
   FlatNet net(6, spinFactory());
   net.stack->at(0).originate(Bytes(24, 1));
   net.run(8.0);
-  const auto& kinds = net.network.stats().framesByKind();
+  const auto& kinds = net.network.medium().framesByKind();
   // Each node transmits the payload at most once per requester; on a line,
   // each hop serves its two neighbours at most.
   EXPECT_LE(kinds.at(net::PacketKind::kData), 12u);
@@ -81,15 +81,15 @@ TEST(Spin, AdvSmallerThanData) {
   FlatNet net(3, spinFactory());
   net.stack->at(0).originate(Bytes(24, 1));
   net.run(3.0);
-  const auto& stats = net.network.stats();
+  const auto& medium = net.network.medium();
   // Control bytes per frame (ADV/REQ ≈ 9 B payload) < data bytes per frame
   // (≈ 35 B payload): the negotiation is cheaper than blind payload
   // flooding per §2.2.1.
   const double ctrlPerFrame =
-      static_cast<double>(stats.controlBytes()) /
-      static_cast<double>(stats.controlFrames());
-  const double dataPerFrame = static_cast<double>(stats.dataBytes()) /
-                              static_cast<double>(stats.dataFrames());
+      static_cast<double>(medium.controlBytes()) /
+      static_cast<double>(medium.controlFrames());
+  const double dataPerFrame = static_cast<double>(medium.dataBytes()) /
+                              static_cast<double>(medium.dataFrames());
   EXPECT_LT(ctrlPerFrame, dataPerFrame);
 }
 
@@ -140,11 +140,11 @@ TEST(Diffusion, FirstPacketExploratoryThenReinforcedUnicast) {
   EXPECT_TRUE(src.reinforced());  // the sink's reinforcement walked back
 
   const auto dataBefore =
-      net.network.stats().framesByKind().at(net::PacketKind::kData);
+      net.network.medium().framesByKind().at(net::PacketKind::kData);
   net.stack->at(0).originate(Bytes(24, 2));  // now unicast down the gradient
   net.run(3.0);
   const auto dataAfter =
-      net.network.stats().framesByKind().at(net::PacketKind::kData);
+      net.network.medium().framesByKind().at(net::PacketKind::kData);
   EXPECT_EQ(net.network.stats().delivered(), 2u);
   // Reinforced path: exactly one frame per hop (5 hops), no flood.
   EXPECT_EQ(dataAfter - dataBefore, 5u);
@@ -165,7 +165,7 @@ TEST(Diffusion, NoInterestNoTransmission) {
   stack.startAll();
   stack.at(0).originate(Bytes(24, 1));
   simulator.runUntil(sim::Time::seconds(2.0));
-  EXPECT_EQ(network.stats().framesByKind().count(net::PacketKind::kData),
+  EXPECT_EQ(network.medium().framesByKind().count(net::PacketKind::kData),
             0u);
 }
 

@@ -234,7 +234,7 @@ TEST(SensorNetwork, DeadNodeNeitherSendsNorReceives) {
   f.network.node(a).kill(f.simulator.now());
   f.network.sendFrom(a, pkt);
   f.simulator.run();
-  EXPECT_EQ(f.network.stats().framesByKind().count(PacketKind::kHello), 1u);
+  EXPECT_EQ(f.network.medium().framesByKind().count(PacketKind::kHello), 1u);
 }
 
 TEST(Medium, CollisionCorruptsOverlap) {

@@ -330,16 +330,31 @@ TEST(QueueStats, PerNodeDropsSumToNetworkTotal) {
   cfg.workload.ratePerSensor = 3.0;  // deep saturation
   cfg.macQueue.capacity = 2;
   cfg.seed = 9;
+  cfg.obs.metrics = true;
   auto scenario = core::buildScenario(cfg);
   core::Experiment experiment(*scenario);
-  experiment.run();
+  const core::RunResult result = experiment.run();
 
-  const net::TrafficStats& stats = scenario->network->stats();
-  ASSERT_GT(stats.queueDrops(), 0u);
+  const obs::MetricsRegistry& registry = result.observations->metrics;
+  const obs::Labels proto = {{"protocol", result.protocol}};
+  const obs::Counter* total =
+      registry.findCounter("wmsn_queue_drops_total", proto);
+  ASSERT_NE(total, nullptr);
+  ASSERT_GT(total->value(), 0u);
+  EXPECT_EQ(total->value(), result.queueDrops);
   std::uint64_t perNodeSum = 0;
-  for (const auto& [node, drops] : stats.queueDropsByNode()) perNodeSum += drops;
-  EXPECT_EQ(perNodeSum, stats.queueDrops());
-  EXPECT_FALSE(stats.peakQueueDepthByNode().empty());
+  for (net::NodeId id = 0; id < scenario->network->size(); ++id) {
+    obs::Labels labels = proto;
+    labels.push_back({"node", std::to_string(id)});
+    if (const obs::Counter* drops =
+            registry.findCounter("wmsn_node_queue_drops_total", labels))
+      perNodeSum += drops->value();
+  }
+  EXPECT_EQ(perNodeSum, total->value());
+  const obs::Histogram* peaks =
+      registry.findHistogram("wmsn_node_peak_queue_depth", proto);
+  ASSERT_NE(peaks, nullptr);
+  EXPECT_GT(peaks->count(), 0u);
 }
 
 // --- experiment wiring ---------------------------------------------------------

@@ -224,11 +224,11 @@ struct LineNet {
   }
 };
 
-template <typename Params, typename Protocol>
-ProtocolStack::Factory factoryFor(Params params) {
-  return [params](net::SensorNetwork& n, net::NodeId id,
-                  const NetworkKnowledge& k) {
-    return std::make_unique<Protocol>(n, id, k, params);
+template <typename Protocol, typename... Params>
+ProtocolStack::Factory factoryFor(Params... params) {
+  return [params...](net::SensorNetwork& n, net::NodeId id,
+                     const NetworkKnowledge& k) {
+    return std::make_unique<Protocol>(n, id, k, params...);
   };
 }
 
@@ -267,7 +267,7 @@ Bytes prefixOf(const Bytes& bytes, std::size_t n) {
 
 std::uint64_t framesOfKind(const net::SensorNetwork& network,
                            net::PacketKind kind) {
-  const auto& byKind = network.stats().framesByKind();
+  const auto& byKind = network.medium().framesByKind();
   const auto it = byKind.find(kind);
   return it == byKind.end() ? 0 : it->second;
 }
@@ -565,7 +565,7 @@ TEST(Messages, ProtocolPayloadLayoutsArePinned) {
 TEST(Flooding, DeliversAcrossMultipleHops) {
   // 5 sensors in a line, gateway past the last one: 0→…→4→G.
   LineNet net(5, {{100.0, 0.0}},
-              factoryFor<FloodingParams, FloodingRouting>({}));
+              factoryFor<FloodingRouting>(FloodingParams{}));
   net.stack->at(0).originate(Bytes(24, 1));
   net.run();
   EXPECT_EQ(net.network.stats().delivered(), 1u);
@@ -576,7 +576,7 @@ TEST(Flooding, TtlLimitsPropagation) {
   FloodingParams params;
   params.maxHops = 3;
   LineNet net(6, {{140.0, 0.0}},
-              factoryFor<FloodingParams, FloodingRouting>(params));
+              factoryFor<FloodingRouting>(params));
   net.stack->at(0).originate(Bytes(24, 1));  // gateway is 7 hops away
   net.run();
   EXPECT_EQ(net.network.stats().delivered(), 0u);
@@ -584,17 +584,17 @@ TEST(Flooding, TtlLimitsPropagation) {
 
 TEST(Flooding, EveryNodeRebroadcastsOnce) {
   LineNet net(5, {{120.0, 0.0}},
-              factoryFor<FloodingParams, FloodingRouting>({}));
+              factoryFor<FloodingRouting>(FloodingParams{}));
   net.stack->at(0).originate(Bytes(24, 1));
   net.run();
   // Source + 4 relays transmit exactly once each (implosion guard);
   // the gateway consumes without rebroadcasting.
-  EXPECT_EQ(net.network.stats().dataFrames(), 5u);
+  EXPECT_EQ(net.network.medium().dataFrames(), 5u);
 }
 
 TEST(Gossip, RandomWalkReachesGatewayEventually) {
   LineNet net(4, {{80.0, 0.0}},
-              factoryFor<FloodingParams, GossipRouting>({}));
+              factoryFor<GossipRouting>(FloodingParams{}));
   for (int i = 0; i < 10; ++i) net.stack->at(0).originate(Bytes(24, 1));
   net.run(30.0);
   // On a line with a gateway neighbour-preference the walk terminates; most
@@ -606,7 +606,7 @@ TEST(Gossip, RandomWalkReachesGatewayEventually) {
 
 TEST(SingleSink, GradientFormsAndRoutes) {
   LineNet net(5, {{-20.0, 0.0}},
-              factoryFor<SingleSinkParams, SingleSinkRouting>({}));
+              factoryFor<SingleSinkRouting>());
   net.run(1.0);  // let the start() beacon flood
   auto& node4 = dynamic_cast<SingleSinkRouting&>(net.stack->at(4));
   ASSERT_TRUE(node4.costToSink().has_value());
@@ -622,7 +622,7 @@ TEST(SingleSink, OnlyFirstGatewayActsAsSink) {
   // Second gateway adjacent to the source is IGNORED — the whole point of
   // the single-sink baseline.
   LineNet net(5, {{-20.0, 0.0}, {100.0, 0.0}},
-              factoryFor<SingleSinkParams, SingleSinkRouting>({}));
+              factoryFor<SingleSinkRouting>());
   net.run(1.0);
   net.stack->at(4).originate(Bytes(24, 1));
   net.run();
@@ -645,7 +645,7 @@ TEST(SingleSink, ReBeaconAdaptsToDeadRelay) {
   knowledge.gatewayIds.push_back(network.addGateway({0, 0}));
   knowledge.feasiblePlaces = {{0, 0}};
   ProtocolStack stack(network, knowledge,
-                      factoryFor<SingleSinkParams, SingleSinkRouting>({}));
+                      factoryFor<SingleSinkRouting>());
   stack.startAll();
   simulator.runUntil(sim::Time::seconds(1.0));
 
@@ -665,7 +665,7 @@ TEST(Leach, HeadElectionRespectsRotation) {
   // With p=0.5 over many rounds roughly half the rounds elect, and a node
   // never heads twice within 1/p rounds.
   LineNet net(1, {{500.0, 0.0}},
-              factoryFor<LeachParams, LeachRouting>([] {
+              factoryFor<LeachRouting>([] {
                 LeachParams p;
                 p.clusterHeadFraction = 0.5;
                 return p;
@@ -695,7 +695,7 @@ TEST(Leach, MembersSendToHeadHeadAggregatesToGateway) {
   LeachParams params;
   params.clusterHeadFraction = 0.99;
   params.aggregateDelay = sim::Time::seconds(0.5);
-  LineNet net(3, {{200.0, 0.0}}, factoryFor<LeachParams, LeachRouting>(params));
+  LineNet net(3, {{200.0, 0.0}}, factoryFor<LeachRouting>(params));
   net.stack->beginRound(0);
   net.run(1.0);  // adverts + joins
   for (net::NodeId s = 0; s < 3; ++s) net.stack->at(s).originate(Bytes(24, 1));
@@ -707,7 +707,7 @@ TEST(Leach, MembersSendToHeadHeadAggregatesToGateway) {
 TEST(Leach, FallbackDirectWhenNoHeadHeard) {
   LeachParams params;
   params.clusterHeadFraction = 0.01;  // nobody will self-elect round 0..
-  LineNet net(2, {{300.0, 0.0}}, factoryFor<LeachParams, LeachRouting>(params));
+  LineNet net(2, {{300.0, 0.0}}, factoryFor<LeachRouting>(params));
   net.stack->beginRound(1);  // threshold formula: r=1 keeps T small
   net.run(1.0);
   net.stack->at(0).originate(Bytes(24, 1));
@@ -723,7 +723,7 @@ TEST(Spr, DiscoversMinHopGatewayAmongSeveral) {
   // Line 0..4; near gateway behind node 4, far gateway behind node 0 is
   // further in hops from the source (node 4).
   LineNet net(5, {{-20.0, 0.0}, {100.0, 0.0}},
-              factoryFor<SprParams, SprRouting>(sprDefaults()));
+              factoryFor<SprRouting>(sprDefaults()));
   net.stack->beginRound(0);
   net.stack->at(4).originate(Bytes(24, 1));
   net.run();
@@ -737,7 +737,7 @@ TEST(Spr, DiscoversMinHopGatewayAmongSeveral) {
 
 TEST(Spr, FindsExactShortestPathLength) {
   LineNet net(6, {{-20.0, 0.0}},
-              factoryFor<SprParams, SprRouting>(sprDefaults()));
+              factoryFor<SprRouting>(sprDefaults()));
   net.stack->beginRound(0);
   net.stack->at(5).originate(Bytes(24, 1));
   net.run();
@@ -747,41 +747,41 @@ TEST(Spr, FindsExactShortestPathLength) {
 
 TEST(Spr, SecondPacketUsesInstalledTablesWithoutNewQuery) {
   LineNet net(4, {{-20.0, 0.0}},
-              factoryFor<SprParams, SprRouting>(sprDefaults()));
+              factoryFor<SprRouting>(sprDefaults()));
   net.stack->beginRound(0);
   net.stack->at(3).originate(Bytes(24, 1));
   net.run();
   const auto rreqsAfterFirst =
-      net.network.stats().framesByKind().at(net::PacketKind::kRreq);
+      net.network.medium().framesByKind().at(net::PacketKind::kRreq);
   net.stack->at(3).originate(Bytes(24, 2));
   net.run();
-  EXPECT_EQ(net.network.stats().framesByKind().at(net::PacketKind::kRreq),
+  EXPECT_EQ(net.network.medium().framesByKind().at(net::PacketKind::kRreq),
             rreqsAfterFirst);  // no new flood (step 1 table hit)
   EXPECT_EQ(net.network.stats().delivered(), 2u);
 }
 
 TEST(Spr, IntermediateAnswersFromCacheSuppressingFlood) {
   LineNet net(4, {{-20.0, 0.0}},
-              factoryFor<SprParams, SprRouting>(sprDefaults()));
+              factoryFor<SprRouting>(sprDefaults()));
   net.stack->beginRound(0);
   // Node 1 (next to the gateway side) learns a route first.
   net.stack->at(1).originate(Bytes(24, 1));
   net.run();
   const auto rreqsBefore =
-      net.network.stats().framesByKind().at(net::PacketKind::kRreq);
+      net.network.medium().framesByKind().at(net::PacketKind::kRreq);
   // Node 3's query should be answered by node 2 or 1 from cache — fewer
   // RREQ frames than its own full flood would cost.
   net.stack->at(3).originate(Bytes(24, 2));
   net.run();
   const auto rreqsAfter =
-      net.network.stats().framesByKind().at(net::PacketKind::kRreq);
+      net.network.medium().framesByKind().at(net::PacketKind::kRreq);
   EXPECT_EQ(net.network.stats().delivered(), 2u);
   EXPECT_LE(rreqsAfter - rreqsBefore, 3u);
 }
 
 TEST(Spr, RoundBoundaryInvalidatesRoutes) {
   LineNet net(4, {{-20.0, 0.0}},
-              factoryFor<SprParams, SprRouting>(sprDefaults()));
+              factoryFor<SprRouting>(sprDefaults()));
   net.stack->beginRound(0);
   net.stack->at(3).originate(Bytes(24, 1));
   net.run();
@@ -794,7 +794,7 @@ TEST(Spr, RoundBoundaryInvalidatesRoutes) {
 TEST(Spr, UnreachableGatewayDropsAfterRetries) {
   // Gateway far outside radio range of every sensor.
   LineNet net(3, {{1000.0, 1000.0}},
-              factoryFor<SprParams, SprRouting>(sprDefaults()));
+              factoryFor<SprRouting>(sprDefaults()));
   net.stack->beginRound(0);
   net.stack->at(0).originate(Bytes(24, 1));
   net.run(5.0);
@@ -810,7 +810,7 @@ struct MlrNet : LineNet {
       : LineNet(sensors,
                 {{-20.0, 0.0},
                  {20.0 * static_cast<double>(sensors), 0.0}},
-                factoryFor<MlrParams, MlrRouting>(params),
+                factoryFor<MlrRouting>(params),
                 {{-20.0, 0.0},
                  {20.0 * static_cast<double>(sensors), 0.0},
                  {20.0 * static_cast<double>(sensors) / 2.0, 20.0}}) {}

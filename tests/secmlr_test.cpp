@@ -110,11 +110,11 @@ TEST(SecMlr, SessionReusedForFollowUpPackets) {
   net.stack->at(2).originate(Bytes(24, 1));
   net.run(3.0);
   const auto rreqs =
-      net.network.stats().framesByKind().at(net::PacketKind::kRreq);
+      net.network.medium().framesByKind().at(net::PacketKind::kRreq);
   net.stack->at(2).originate(Bytes(24, 2));
   net.stack->at(2).originate(Bytes(24, 3));
   net.run(2.0);
-  EXPECT_EQ(net.network.stats().framesByKind().at(net::PacketKind::kRreq),
+  EXPECT_EQ(net.network.medium().framesByKind().at(net::PacketKind::kRreq),
             rreqs);  // no new discovery
   EXPECT_EQ(net.network.stats().delivered(), 3u);
 }
@@ -312,7 +312,7 @@ TEST(SecMlr, CryptoCostLandsOnGatewaysNotForwarders) {
 // --- relay semantics of secure queries ------------------------------------------
 
 std::uint64_t rreqFrames(const SecNet& net) {
-  const auto& byKind = net.network.stats().framesByKind();
+  const auto& byKind = net.network.medium().framesByKind();
   const auto it = byKind.find(net::PacketKind::kRreq);
   return it == byKind.end() ? 0 : it->second;
 }

@@ -158,6 +158,12 @@ struct QueueFixture {
     gateway = network->addGateway({10.0, 0.0});
   }
 
+  /// Queue drops summed over every node's MAC.
+  std::uint64_t queueDrops() const {
+    return network->node(sensor).mac().queueDrops() +
+           network->node(gateway).mac().queueDrops();
+  }
+
   /// Fires `count` payload-stamped frames in one instant, runs to quiescence
   /// and returns the payload stamps that reached the gateway.
   std::set<std::uint8_t> blast(std::size_t count) {
@@ -187,7 +193,7 @@ TEST(MacQueue, DropTailKeepsEarliestFrames) {
   const auto received = fx.blast(10);
   // One frame in service + 3 queued survive; the other 6 are rejected.
   EXPECT_EQ(received, (std::set<std::uint8_t>{0, 1, 2, 3}));
-  EXPECT_EQ(fx.network->stats().queueDrops(), 6u);
+  EXPECT_EQ(fx.queueDrops(), 6u);
   EXPECT_EQ(fx.network->node(fx.sensor).mac().queueDrops(), 6u);
   EXPECT_EQ(fx.network->node(fx.sensor).mac().peakQueueDepth(), 3u);
 }
@@ -197,14 +203,14 @@ TEST(MacQueue, DropOldestKeepsFreshestFrames) {
   const auto received = fx.blast(10);
   // Frame 0 is already in service; the queue ends holding the 3 newest.
   EXPECT_EQ(received, (std::set<std::uint8_t>{0, 7, 8, 9}));
-  EXPECT_EQ(fx.network->stats().queueDrops(), 6u);
+  EXPECT_EQ(fx.queueDrops(), 6u);
 }
 
 TEST(MacQueue, NoDropsBelowCapacity) {
   QueueFixture fx({.capacity = 8, .policy = net::QueuePolicy::kDropTail});
   const auto received = fx.blast(5);
   EXPECT_EQ(received.size(), 5u);
-  EXPECT_EQ(fx.network->stats().queueDrops(), 0u);
+  EXPECT_EQ(fx.queueDrops(), 0u);
   EXPECT_GT(fx.network->node(fx.sensor)
                 .mac()
                 .queueDepthIntegral(fx.simulator.now()),
@@ -215,7 +221,7 @@ TEST(MacQueue, LegacyZeroCapacityNeverDropsForSpace) {
   QueueFixture fx({.capacity = 0});
   const auto received = fx.blast(10);
   EXPECT_EQ(received.size(), 10u);
-  EXPECT_EQ(fx.network->stats().queueDrops(), 0u);
+  EXPECT_EQ(fx.queueDrops(), 0u);
   EXPECT_EQ(fx.network->node(fx.sensor).mac().peakQueueDepth(), 0u);
 }
 
@@ -240,7 +246,7 @@ TEST(MacQueue, KeepsFifoOrderWhileTheRingGrowsAndWraps) {
   ASSERT_EQ(order.size(), 40u);
   for (std::uint8_t k = 0; k < 40; ++k) EXPECT_EQ(order[k], k);
   EXPECT_GT(fx.network->node(fx.sensor).mac().peakQueueDepth(), 8u);
-  EXPECT_EQ(fx.network->stats().queueDrops(), 0u);
+  EXPECT_EQ(fx.queueDrops(), 0u);
 }
 
 TEST(MacQueue, ConstructionAllocatesNothing) {
