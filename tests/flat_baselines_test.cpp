@@ -56,7 +56,7 @@ TEST(Spin, NegotiatedDeliveryAcrossHops) {
   net.stack->at(0).originate(Bytes(24, 1));
   net.run(5.0);
   EXPECT_EQ(net.network.stats().delivered(), 1u);
-  const auto& kinds = net.network.medium().framesByKind();
+  const auto kinds = net.network.medium().framesByKind();
   // The three-way handshake happened at every hop.
   EXPECT_GE(kinds.at(net::PacketKind::kAdv), 5u);
   EXPECT_GE(kinds.at(net::PacketKind::kReq), 5u);
@@ -70,7 +70,7 @@ TEST(Spin, NoDuplicateDataTransmissions) {
   FlatNet net(6, spinFactory());
   net.stack->at(0).originate(Bytes(24, 1));
   net.run(8.0);
-  const auto& kinds = net.network.medium().framesByKind();
+  const auto kinds = net.network.medium().framesByKind();
   // Each node transmits the payload at most once per requester; on a line,
   // each hop serves its two neighbours at most.
   EXPECT_LE(kinds.at(net::PacketKind::kData), 12u);

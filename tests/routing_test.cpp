@@ -267,7 +267,7 @@ Bytes prefixOf(const Bytes& bytes, std::size_t n) {
 
 std::uint64_t framesOfKind(const net::SensorNetwork& network,
                            net::PacketKind kind) {
-  const auto& byKind = network.medium().framesByKind();
+  const auto byKind = network.medium().framesByKind();
   const auto it = byKind.find(kind);
   return it == byKind.end() ? 0 : it->second;
 }

@@ -312,7 +312,7 @@ TEST(SecMlr, CryptoCostLandsOnGatewaysNotForwarders) {
 // --- relay semantics of secure queries ------------------------------------------
 
 std::uint64_t rreqFrames(const SecNet& net) {
-  const auto& byKind = net.network.medium().framesByKind();
+  const auto byKind = net.network.medium().framesByKind();
   const auto it = byKind.find(net::PacketKind::kRreq);
   return it == byKind.end() ? 0 : it->second;
 }
